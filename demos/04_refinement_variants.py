@@ -13,9 +13,6 @@ report table. Orderings between variants are only enforced at the full
 training budget (see the test suite); the point here is the machinery.
 """
 
-import tempfile
-import pathlib
-
 from draftflow import autoencoder as AE
 from draftflow import corpus as C
 from draftflow import draftprior as DP
@@ -38,8 +35,7 @@ cfg = FF.Stage2Config(steps=80, val_count=100, seed=SEED)
 bundles = []
 for variant in FF.VARIANTS:
     print(f"training stage 2 variant '{variant}' ({cfg.steps} steps) ...")
-    bundle, _ = FF.train_stage2(ae, prior, train, variant, cfg)
-    bundles.append(bundle)
+    bundles.append(FF.train_stage2(ae, prior, train, variant, cfg))
 
 rows = FF.stage2_report(ae, prior, bundles, val, cfg)
 header = f"{'variant':>10} {'ce':>8} {'p_target':>9} {'move_l2':>8} " \
@@ -49,12 +45,6 @@ for r in rows:
     print(f"{r['variant']:>10} {r['ce']:8.3f} {r['p_target']:9.3f} "
           f"{r['latent_move_l2']:8.3f} {r['metric_std']:10.3f} "
           f"{r['ot_cost']:8.3f}")
-
-# the same table serializes as the pipeline's report format
-with tempfile.TemporaryDirectory() as tmp:
-    path = pathlib.Path(tmp) / "variants.csv"
-    FF.write_report_csv(rows, path)
-    print(f"\ncsv header: {path.read_text().splitlines()[0]}")
 
 # the rows bracket the problem: 'start' is the unrefined start model,
 # 'oracle' decodes real latents and no variant can beat it

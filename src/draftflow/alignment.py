@@ -1,11 +1,11 @@
 """Distribution-level latent alignment costs.
 
-Two interchangeable transport costs between point clouds of suffix-slot
-latents: entropic Sinkhorn OT (log-domain, uniform marginals) and a
-sliced-Wasserstein fallback (random 1-D projections with quantile
-alignment). Both are exposed as plain evaluation functions and as
-tape-differentiable terms for the stage-2 regularizer, where gradients flow
-into the generated cloud only and the target cloud is held constant.
+Two transport costs between point clouds of suffix-slot latents: entropic
+Sinkhorn OT (log-domain, uniform marginals) and a sliced-Wasserstein cost
+(random 1-D projections with quantile alignment). Both are plain evaluation
+functions; Sinkhorn is also the tape-differentiable term of the stage-2
+regularizer, where gradients flow into the generated cloud only and the
+target cloud is held constant.
 """
 
 from __future__ import annotations
@@ -159,19 +159,13 @@ def sliced_wasserstein(A, B, n_projections: int = 128, seed: int = 0) -> float:
 
 
 def ot_regularized_loss(base_loss: Tensor, A, B, weight: float,
-                        backend: str = "sinkhorn", epsilon=None,
-                        max_iters: int = 200, tol: float = 1e-6,
-                        n_projections: int = 64, seed: int = 0) -> Tensor:
-    """base_loss + weight * transport cost, differentiable through A only."""
+                        epsilon=None, max_iters: int = 200,
+                        tol: float = 1e-6) -> Tensor:
+    """base_loss + weight * Sinkhorn cost, differentiable through A only."""
     if weight < 0:
         raise ValueError("weight must be non-negative")
-    if backend not in ("sinkhorn", "sliced"):
-        raise ValueError(f"unknown backend '{backend}'")
     if weight == 0.0:
         return base_loss
     a, b = _points(A), _points(B)
-    if backend == "sinkhorn":
-        cost, _, _, _, _ = _sinkhorn_tensor(a, b.data, epsilon, max_iters, tol)
-    else:
-        cost = _sliced_tensor(a, b.data, n_projections, seed)
+    cost, _, _, _, _ = _sinkhorn_tensor(a, b.data, epsilon, max_iters, tol)
     return base_loss + Tensor(np.float32(weight)) * cost

@@ -18,16 +18,9 @@ import numpy as np
 
 from . import diagnostics, nn
 from . import tensor as T
-from .corpus import TokenSequence, pad_to_slots
+from .corpus import pad_to_slots
+from .nn import DivergenceError  # noqa: F401  (re-exported)
 from .tensor import Tensor, no_grad
-
-
-class DivergenceError(RuntimeError):
-    """Training loss went non-finite; carries the failing step index."""
-
-    def __init__(self, step: int, message: str = ""):
-        self.step = step
-        super().__init__(message or f"non-finite loss at step {step}")
 
 
 @dataclass
@@ -41,30 +34,6 @@ class AEConfig:
     enc_layers: int = 2
     dec_layers: int = 2
     seed: int = 1337
-
-
-@dataclass
-class LatentSequence:
-    """Per-slot latents with a region tag: prompt (m rows), suffix, or full."""
-
-    values: Tensor
-    region: str = "full"
-
-    def __post_init__(self):
-        if self.region not in ("prompt", "suffix", "full"):
-            raise ValueError(f"unknown region tag '{self.region}'")
-        if not isinstance(self.values, Tensor):
-            self.values = Tensor(np.asarray(self.values, dtype=np.float32))
-
-    def prompt_part(self, m: int) -> "LatentSequence":
-        if self.region != "full":
-            raise ValueError("prompt_part needs a full-region sequence")
-        return LatentSequence(self.values[..., :m, :], "prompt")
-
-    def suffix_part(self, m: int) -> "LatentSequence":
-        if self.region != "full":
-            raise ValueError("suffix_part needs a full-region sequence")
-        return LatentSequence(self.values[..., m:, :], "suffix")
 
 
 def batchify(examples: list, m: int, n: int):
@@ -138,24 +107,11 @@ class Autoencoder:
         w = mask.astype(np.float32)
         return T.tsum(true_lp * Tensor(-w)) / float(w.sum())
 
-    # -- single-sequence convenience API ------------------------------------
-
-    def encode(self, tokens: TokenSequence) -> LatentSequence:
+    def encode_all(self, ids: np.ndarray) -> np.ndarray:
+        """No-grad latents of a whole (N, n) id array, in chunks of 256 rows."""
         with no_grad():
-            z = self.encode_array(tokens.ids[None, :])
-        return LatentSequence(Tensor(z.data[0]), "full")
-
-    def decode_logits(self, z: LatentSequence) -> Tensor:
-        if z.region != "full":
-            raise ValueError("decode_logits needs full-region latents")
-        values = z.values
-        squeeze = values.ndim == 2
-        with no_grad():
-            out = self.decode_array(values.data[None] if squeeze else values)
-        return Tensor(out.data[0]) if squeeze else out
-
-    def ae_loss(self, tokens: TokenSequence) -> Tensor:
-        return self.loss_array(tokens.ids[None, :], tokens.mask[None, :])
+            return np.concatenate([self.encode_array(ids[i:i + 256]).data
+                                   for i in range(0, len(ids), 256)])
 
     def freeze(self):
         self.store.freeze()
@@ -193,22 +149,17 @@ def train_stage1(corpus: list, config: AEConfig,
     train, val = corpus[:-tc.val_count], corpus[-tc.val_count:]
     ids, mask = batchify(train, config.m, config.n)
     vids, vmask = batchify(val, config.m, config.n)
-    opt = nn.AdamW(model.store, lr=tc.lr, weight_decay=tc.weight_decay)
-    history = []
-    for step in range(tc.steps):
+
+    def step_fn(step):
         idx = T.rng_for(tc.seed, step).integers(0, len(train), size=tc.batch_size)
-        model.store.zero_grad()
-        loss = model.loss_array(ids[idx], mask[idx])
-        if not np.isfinite(loss.data):
-            raise DivergenceError(step)
-        loss.backward()
-        nn.clip_grad_norm(model.store, tc.grad_clip)
-        opt.step()
-        if step % tc.log_every == 0 or step == tc.steps - 1:
-            with no_grad():
-                vloss = float(model.loss_array(vids, vmask).data)
-            history.append({"step": step, "train_loss": float(loss.data),
-                            "val_loss": vloss})
+        return model.loss_array(ids[idx], mask[idx]), {}
+
+    def log_row(step, loss, parts):
+        with no_grad():
+            vloss = float(model.loss_array(vids, vmask).data)
+        return {"step": step, "train_loss": loss, "val_loss": vloss}
+
+    history = nn.fit([model.store], tc, step_fn, log_row)
     model.freeze()
     return model, history
 

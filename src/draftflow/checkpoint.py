@@ -8,8 +8,11 @@ little-endian float32 bytes in manifest order; round-trips are bit-exact.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
+import pathlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +30,24 @@ class Checkpoint:
     arrays: dict
     config: dict = field(default_factory=dict)
     version: int = FORMAT_VERSION
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Write through a temp file beside `path`, renamed over it on success.
+
+    If the block raises, the temp file is removed, so `path` keeps its
+    previous content (or stays absent) and never holds a partial write.
+    """
+    path = pathlib.Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_checkpoint(path, stage: str, arrays: dict, config: dict | None = None) -> str:
@@ -52,7 +73,7 @@ def save_checkpoint(path, stage: str, arrays: dict, config: dict | None = None) 
         "tensors": entries,
     }
     blob = json.dumps(manifest, sort_keys=True).encode() + b"\n" + bytes(payload)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(blob)
     return hashlib.sha256(blob).hexdigest()
 

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 config or input error, 3 missing prerequisite
-checkpoint, 4 numerical divergence during training.
+checkpoint, 4 numerical divergence (a non-finite loss or ODE state).
 """
 
 from __future__ import annotations
@@ -11,9 +11,9 @@ import json
 import sys
 
 from . import pipeline
-from .autoencoder import DivergenceError
 from .checkpoint import CheckpointError
 from .config import ConfigError, load_config
+from .nn import DivergenceError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -81,7 +81,7 @@ def main(argv=None) -> int:
     except pipeline.MissingPrerequisite as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MISSING
-    except DivergenceError as e:
+    except (DivergenceError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DIVERGED
     except (ConfigError, CheckpointError, ValueError, OSError) as e:

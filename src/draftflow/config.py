@@ -101,6 +101,17 @@ def load_config(path=None) -> RunConfig:
                     raise ConfigError(f"unknown key '{key}' in [{section}]")
                 sections[section][key] = _coerce(
                     section, key, raw, DEFAULTS[section][key])
+    # an external corpus is split by position: eval reads its last
+    # corpus.val_count examples, each stage trains on all but its own last
+    # val_count, so a larger eval split would score trained examples
+    if sections["corpus"]["source"]:
+        held_out = min(sections[s]["val_count"]
+                       for s in ("stage1", "draftprior", "stage2"))
+        if sections["corpus"]["val_count"] > held_out:
+            raise ConfigError(
+                f"[corpus] val_count {sections['corpus']['val_count']} "
+                f"exceeds the smallest stage val_count {held_out}: eval "
+                "would score examples a stage trained on")
     env_workdir = os.environ.get(WORKDIR_ENV)
     if env_workdir:
         sections["paths"]["workdir"] = env_workdir

@@ -89,11 +89,6 @@ def recoverability(model, z_full, ids, mask, per_example: bool = False):
     return out
 
 
-def p_target(model, z_full, ids, mask) -> float:
-    """Mean decoder probability of the true token over suffix real slots."""
-    return recoverability(model, z_full, ids, mask)["p_target"]
-
-
 # -- interpolation ----------------------------------------------------------
 
 
@@ -285,13 +280,13 @@ def surface_metrics(token_lists) -> dict:
 # -- quality-speed sweep ----------------------------------------------------
 
 
-def quality_speed_sweep(infer_one, model, ids, mask, steps_list,
-                        n_timing_repeats: int = 1) -> list:
+def quality_speed_sweep(infer_one, model, ids, mask, steps_list) -> list:
     """Per step count: recoverability, surface metrics, latency, tokens/s.
 
     `infer_one(i, steps)` runs the full pipeline for validation example `i`
     at the given step count and returns the final full-sequence latents
-    (1, n, d). Latency is the median of strictly serial batch-1 runs.
+    (1, n, d). Latency is the median over examples of strictly serial
+    batch-1 runs.
     """
     ids = np.atleast_2d(np.asarray(ids))
     mask = np.atleast_2d(np.asarray(mask))
@@ -302,13 +297,12 @@ def quality_speed_sweep(infer_one, model, ids, mask, steps_list,
         latents = []
         times = []
         for i in range(B):
-            for _ in range(n_timing_repeats):
-                t0 = time.perf_counter()
-                z_full = infer_one(i, steps)
-                with no_grad():
-                    logits = model.decode_array(z_full)
-                    tokens = logits.data.argmax(axis=-1)
-                times.append(time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            z_full = infer_one(i, steps)
+            with no_grad():
+                logits = model.decode_array(z_full)
+                tokens = logits.data.argmax(axis=-1)
+            times.append(time.perf_counter() - t0)
             latents.append(np.asarray(z_full.data if isinstance(z_full, Tensor)
                                       else z_full))
         z_all = np.concatenate(latents, axis=0)

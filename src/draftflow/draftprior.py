@@ -8,44 +8,24 @@ decoder-readable starting point that the flow stage later refines.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diagnostics, nn
 from . import tensor as T
-from .autoencoder import Autoencoder, DivergenceError, LatentSequence, batchify
+from .autoencoder import Autoencoder, batchify
 from .corpus import CorruptionSpec, StoryExample, corrupt_draft, pad_to_slots
 from .tensor import Tensor, no_grad
 
 
-@dataclass(frozen=True)
-class MixSpec:
-    alpha: float
-    seed: int
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0,1], got {self.alpha}")
-
-
-def _mix(z_draft: np.ndarray, alpha, seed: int) -> np.ndarray:
+def mix_with_noise(z: np.ndarray, alpha, seed: int) -> np.ndarray:
+    """alpha * z + sqrt(1 - alpha^2) * eps, seeded; alpha may be per-row."""
     a = np.asarray(alpha, dtype=np.float32)
     if a.ndim == 1:
         a = a[:, None, None]
-    eps = T.gaussian_sample(z_draft.shape, seed).data
-    return a * z_draft + np.sqrt(1.0 - a * a, dtype=np.float32) * eps
-
-
-def mix_with_noise(z_draft: LatentSequence, spec: MixSpec) -> LatentSequence:
-    """alpha * z + sqrt(1 - alpha^2) * eps over suffix latents, seeded."""
-    if z_draft.region != "suffix":
-        raise ValueError("mix_with_noise expects suffix-region latents")
-    if spec.alpha == 1.0:
-        return LatentSequence(Tensor(z_draft.values.data.copy()), "suffix")
-    return LatentSequence(
-        Tensor(_mix(z_draft.values.data, spec.alpha, spec.seed)), "suffix")
+    eps = T.gaussian_sample(z.shape, seed).data
+    return a * z + np.sqrt(1.0 - a * a, dtype=np.float32) * eps
 
 
 @dataclass
@@ -109,19 +89,6 @@ class DraftPrior:
         for layer in self.layers:
             x = layer(x, context=ctx)
         return z_t + self.out_proj(self.ln_out(x))
-
-    def predict_start(self, z_t: LatentSequence, z_p: LatentSequence,
-                      alpha: float) -> LatentSequence:
-        if z_t.region != "suffix" or z_p.region != "prompt":
-            raise ValueError("predict_start wants (suffix, prompt) latents")
-        vt, vp = z_t.values, z_p.values
-        squeeze = vt.ndim == 2
-        with no_grad():
-            out = self.predict_start_array(
-                Tensor(vt.data[None]) if squeeze else vt,
-                Tensor(vp.data[None]) if squeeze else vp, alpha)
-        return LatentSequence(Tensor(out.data[0] if squeeze else out.data),
-                              "suffix")
 
 
 def draftprior_loss(ae: Autoencoder, z_start: Tensor, z_s: np.ndarray,
@@ -211,14 +178,10 @@ def train_draftprior(ae: Autoencoder, corpus: list,
     train, val = corpus[:-tc.val_count], corpus[-tc.val_count:]
     m, n = cfg.m, cfg.n
     ids_real, mask_real = batchify(train, m, n)
-    with no_grad():
-        z_real = np.concatenate(
-            [ae.encode_array(ids_real[i:i + 256]).data
-             for i in range(0, len(train), 256)])
-    opt = nn.AdamW(model.store, lr=tc.lr, weight_decay=tc.weight_decay)
+    z_real = ae.encode_all(ids_real)
     grid = np.asarray(tc.corruption_levels, dtype=np.float64)
-    history = []
-    for step in range(tc.steps):
+
+    def step_fn(step):
         rng = T.rng_for(tc.seed, step)
         idx = rng.integers(0, len(train), size=tc.batch_size)
         levels = grid[rng.integers(0, len(grid), size=tc.batch_size)]
@@ -230,20 +193,14 @@ def train_draftprior(ae: Autoencoder, corpus: list,
         with no_grad():
             z_draft = ae.encode_array(ids_d).data
         mix_seed = int(rng.integers(0, 2**31))
-        z_t = _mix(z_draft[:, m:], alpha, mix_seed)
-        model.store.zero_grad()
+        z_t = mix_with_noise(z_draft[:, m:], alpha, mix_seed)
         z_start = model.predict_start_array(
             Tensor(z_t), Tensor(z_draft[:, :m]), alpha)
-        loss, parts = draftprior_loss(
+        return draftprior_loss(
             ae, z_start, z_real[idx][:, m:], z_draft[:, :m],
             ids_real[idx], mask_real[idx], tc.weights)
-        if not np.isfinite(loss.data):
-            raise DivergenceError(step)
-        loss.backward()
-        nn.clip_grad_norm(model.store, tc.grad_clip)
-        opt.step()
-        if step % tc.log_every == 0 or step == tc.steps - 1:
-            history.append({"step": step, "loss": float(loss.data), **parts})
+
+    history = nn.fit([model.store], tc, step_fn)
     model.store.freeze()
     curve = corruption_curve(ae, model, val, dropouts=(0.0, 0.03, 0.05, 0.10),
                              seed=tc.seed)
@@ -261,14 +218,15 @@ def start_latents(ae: Autoencoder, prior: DraftPrior, examples: list,
         raise ValueError("need at least one example")
     cfg = prior.config
     a = cfg.alpha if alpha is None else alpha
-    MixSpec(a, 0)  # range check
+    if not 0.0 < a <= 1.0:
+        raise ValueError(f"alpha must be in (0,1], got {a}")
     ids, mask = batchify(examples, cfg.m, cfg.n)
     levels = np.full(len(examples), dropout)
     ids_d = _draft_ids(examples, levels, cfg.m, cfg.n, seed, 0)
     with no_grad():
         z_draft = ae.encode_array(ids_d).data
         mix_seed = int(T.rng_for(seed, 1).integers(0, 2**31))
-        z_t = _mix(z_draft[:, cfg.m:], a, mix_seed) if a < 1.0 \
+        z_t = mix_with_noise(z_draft[:, cfg.m:], a, mix_seed) if a < 1.0 \
             else z_draft[:, cfg.m:]
         z_start = prior.predict_start_array(
             Tensor(z_t), Tensor(z_draft[:, :cfg.m]), a).data
@@ -298,10 +256,3 @@ def corruption_curve(ae: Autoencoder, prior: DraftPrior, examples: list,
 
 CURVE_COLUMNS = ["dropout", "ce", "p_target", "top1", "n_examples", "seed"]
 
-
-def write_curve_csv(rows: list, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CURVE_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in CURVE_COLUMNS})

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import alignment, diagnostics, nn
 from . import tensor as T
-from .autoencoder import Autoencoder, DivergenceError, batchify
+from .autoencoder import Autoencoder, batchify
 from .draftprior import DraftPrior, start_latents
 from .metricnet import IDENTITY_STATS, MetricConfig, MetricNet, metric_reg, \
     metric_stats
@@ -407,17 +407,16 @@ def _eval_row(ae: Autoencoder, variant: str, z_full, z_start_full,
 
 def train_stage2(ae: Autoencoder, prior: DraftPrior, corpus: list,
                  variant: str, config: Stage2Config | None = None):
-    """Train one refinement variant; returns (bundle, report rows).
+    """Train one refinement variant on all but the last `val_count` examples.
 
-    The report carries the trained variant plus the start and oracle rows,
-    all over the same held-out examples and seeds.
+    Returns the frozen bundle; `stage2_report` scores it on held-out data.
     """
     if not ae.frozen:
         raise ValueError("stage-1 model must be frozen")
     cfg = config or Stage2Config()
     if len(corpus) <= cfg.val_count:
         raise ValueError("val_count leaves no training data")
-    train, val = corpus[:-cfg.val_count], corpus[-cfg.val_count:]
+    train = corpus[:-cfg.val_count]
     m, n, d = ae.config.m, ae.config.n, ae.config.d
 
     bundle = make_bundle(variant, d, m, n, ae.config.vocab_size, cfg)
@@ -425,76 +424,59 @@ def train_stage2(ae: Autoencoder, prior: DraftPrior, corpus: list,
     stores = bundle.stores()
 
     ids_real, mask_real = batchify(train, m, n)
-    with no_grad():
-        z_real = np.concatenate(
-            [ae.encode_array(ids_real[i:i + 256]).data
-             for i in range(0, len(train), 256)])
-    opts = [nn.AdamW(s, lr=cfg.lr, weight_decay=cfg.weight_decay)
-            for s in stores]
+    z_real = ae.encode_all(ids_real)
 
-    for step in range(cfg.steps):
+    def step_fn(step):
         rng = T.rng_for(cfg.seed, step, 17)
         idx = rng.integers(0, len(train), size=cfg.batch_size)
         batch = [train[i] for i in idx]
         z_start_full, _, _, _ = start_latents(
             ae, prior, batch, cfg.dropout, int(rng.integers(0, 2**31)))
         z_start = z_start_full[:, m:]
-        z_p_np = z_start_full[:, :m]
-        z_p = Tensor(z_p_np)
+        z_p = Tensor(z_start_full[:, :m])
         z_s = z_real[idx][:, m:]
         t = float(rng.uniform(0.0, 1.0))
 
-        for s in stores:
-            s.zero_grad()
-        if variant in ("raw", "metric_ot", "residual"):
-            sample = FlowSample(
-                Tensor(sample_flow_state(z_start, z_s, t).z_t.data), t,
-                Tensor(local_target(z_s, z_start, cfg.rho)))
-            loss = force_matching_loss(flownet, bundle.metric, sample, z_p)
-            parts = {"force": float(loss.data)}
-            if variant == "metric_ot":
-                g = bundle.metric.metric_diag(sample.z_t, t, z_p)
-                reg = metric_reg(g)
-                loss = loss + Tensor(np.float32(cfg.metric_weight)) * reg
-                traj = integrate(bundle.velocity_fn(z_p), Tensor(z_start),
-                                 cfg.train_steps_ode, cfg.gamma)
-                cloud = T.reshape(traj[-1], (-1, d))
-                pick = rng.choice(cloud.shape[0], size=min(
-                    cfg.ot_points, cloud.shape[0]), replace=False)
-                loss = alignment.ot_regularized_loss(
-                    loss, cloud[pick], Tensor(_flat_cloud(z_s)[pick]),
-                    weight=cfg.ot_weight)
-                parts["metric_reg"] = float(reg.data)
-            if variant == "residual":
-                with no_grad():
-                    traj = integrate(bundle.velocity_fn(z_p), Tensor(z_start),
-                                     cfg.train_steps_ode, cfg.gamma)
-                z_res = bounded_residual(traj[-1].data, z_p, bundle.refiner)
-                res_diff = z_res - Tensor(z_s)
-                res_loss = T.tmean(res_diff * res_diff)
-                loss = loss + res_loss
-                parts["residual_mse"] = float(res_loss.data)
-        else:
+        if variant == "fused":
             traj = integrate(bundle.velocity_fn(z_p), Tensor(z_start),
                              cfg.train_steps_ode, cfg.gamma)
             z_full_t = T.concat([z_p, traj[-1]], axis=-2)
             z_mid = traj[cfg.train_steps_ode // 2]
-            loss, parts = fused_loss(ae, bundle.aux, z_full_t, z_mid,
-                                     ids_real[idx], mask_real[idx], cfg.beta)
-        if not np.isfinite(loss.data):
-            raise DivergenceError(step)
-        loss.backward()
-        for s, opt in zip(stores, opts):
-            nn.clip_grad_norm(s, cfg.grad_clip)
-            opt.step()
-        if step % cfg.log_every == 0 or step == cfg.steps - 1:
-            bundle.history.append(
-                {"step": step, "loss": float(loss.data), **parts})
+            return fused_loss(ae, bundle.aux, z_full_t, z_mid,
+                              ids_real[idx], mask_real[idx], cfg.beta)
+        sample = FlowSample(
+            Tensor(sample_flow_state(z_start, z_s, t).z_t.data), t,
+            Tensor(local_target(z_s, z_start, cfg.rho)))
+        loss = force_matching_loss(flownet, bundle.metric, sample, z_p)
+        parts = {"force": float(loss.data)}
+        if variant == "metric_ot":
+            g = bundle.metric.metric_diag(sample.z_t, t, z_p)
+            reg = metric_reg(g)
+            loss = loss + Tensor(np.float32(cfg.metric_weight)) * reg
+            traj = integrate(bundle.velocity_fn(z_p), Tensor(z_start),
+                             cfg.train_steps_ode, cfg.gamma)
+            cloud = T.reshape(traj[-1], (-1, d))
+            pick = rng.choice(cloud.shape[0], size=min(
+                cfg.ot_points, cloud.shape[0]), replace=False)
+            loss = alignment.ot_regularized_loss(
+                loss, cloud[pick], Tensor(_flat_cloud(z_s)[pick]),
+                weight=cfg.ot_weight)
+            parts["metric_reg"] = float(reg.data)
+        if variant == "residual":
+            with no_grad():
+                traj = integrate(bundle.velocity_fn(z_p), Tensor(z_start),
+                                 cfg.train_steps_ode, cfg.gamma)
+            z_res = bounded_residual(traj[-1].data, z_p, bundle.refiner)
+            res_diff = z_res - Tensor(z_s)
+            res_loss = T.tmean(res_diff * res_diff)
+            loss = loss + res_loss
+            parts["residual_mse"] = float(res_loss.data)
+        return loss, parts
 
+    bundle.history = nn.fit(stores, cfg, step_fn)
     for s in stores:
         s.freeze()
-    rows = stage2_report(ae, prior, [bundle], val, cfg)
-    return bundle, rows
+    return bundle
 
 
 def stage2_report(ae: Autoencoder, prior: DraftPrior, bundles: list,
@@ -525,11 +507,3 @@ def stage2_report(ae: Autoencoder, prior: DraftPrior, bundles: list,
                           z_real_suffix, ids, mask, IDENTITY_STATS, cfg.seed))
     return rows
 
-
-def write_report_csv(rows: list, path) -> None:
-    import csv
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in REPORT_COLUMNS})

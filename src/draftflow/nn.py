@@ -1,4 +1,4 @@
-"""Parameter storage, layers, and the optimizer.
+"""Parameter storage, layers, the optimizer and the shared training loop.
 
 Modules register their tensors in a shared ParamStore under canonical dotted
 names. Initial values depend only on (name, rng_seed), never on creation
@@ -260,9 +260,6 @@ class AdamW:
                 update = update + self.weight_decay * p.data
             p.data = p.data - T.DTYPE(self.lr) * update.astype(T.DTYPE)
 
-    def zero_grad(self):
-        self.store.zero_grad()
-
 
 def clip_grad_norm(store: ParamStore, max_norm: float) -> float:
     """Scale all gradients so the global L2 norm is at most max_norm."""
@@ -277,3 +274,47 @@ def clip_grad_norm(store: ParamStore, max_norm: float) -> float:
             if p.grad is not None:
                 p.grad = p.grad * scale
     return norm
+
+
+# -- training loop ----------------------------------------------------------
+
+
+class DivergenceError(RuntimeError):
+    """Training loss went non-finite; carries the failing step index."""
+
+    def __init__(self, step: int, message: str = ""):
+        self.step = step
+        super().__init__(message or f"non-finite loss at step {step}")
+
+
+def fit(stores: list, train_config, step_fn, log_row=None) -> list:
+    """Run `train_config.steps` optimizer steps over `stores`; return the log.
+
+    `step_fn(step)` builds one batch and returns (loss Tensor, parts dict of
+    floats). Each step zeroes every store's gradients, checks the loss is
+    finite, backpropagates, then clips and applies one AdamW step per store,
+    in store order. Every `log_every` steps and on the last one it appends
+    `log_row(step, loss, parts)`, by default {"step", "loss", **parts}, with
+    the loss as a float.
+    """
+    tc = train_config
+    opts = [AdamW(s, lr=tc.lr, weight_decay=tc.weight_decay) for s in stores]
+    history = []
+    for step in range(tc.steps):
+        for s in stores:
+            s.zero_grad()
+        loss, parts = step_fn(step)
+        if not np.isfinite(loss.data):
+            raise DivergenceError(step)
+        loss.backward()
+        for s, opt in zip(stores, opts):
+            clip_grad_norm(s, tc.grad_clip)
+            opt.step()
+        value = float(loss.data)
+        # free this step's tape and gradients before the next forward: held
+        # over it, two metric_ot tapes (Sinkhorn iterations) stack at the peak
+        del loss
+        if step % tc.log_every == 0 or step == tc.steps - 1:
+            history.append(log_row(step, value, parts) if log_row
+                           else {"step": step, "loss": value, **parts})
+    return history

@@ -8,6 +8,7 @@ Reports land as CSV with a commented provenance header plus a JSON mirror.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import pathlib
 import time
@@ -98,11 +99,19 @@ def _ckpt_path(cfg: RunConfig, stage: str, variant: str | None = None):
     return _workdir(cfg) / name
 
 
-def _require(path: pathlib.Path, stage: str):
+def _checkpoint(cfg: RunConfig, stage: str,
+                variant: str | None = None) -> CK.Checkpoint:
+    """Load a prerequisite checkpoint and check its stage tag."""
+    path = _ckpt_path(cfg, stage, variant)
     if not path.exists():
+        label = f"{stage}/{variant}" if variant else stage
         raise MissingPrerequisite(
-            f"stage '{stage}' checkpoint missing: {path} "
+            f"stage '{label}' checkpoint missing: {path} "
             f"(run `draftflow train ...` first)")
+    ck = CK.load_checkpoint(path)
+    if ck.stage != stage:
+        raise CK.CheckpointError(f"{path}: stage tag '{ck.stage}' != '{stage}'")
+    return ck
 
 
 def _dims_snapshot(cfg: RunConfig, vocab) -> dict:
@@ -110,28 +119,25 @@ def _dims_snapshot(cfg: RunConfig, vocab) -> dict:
             "seed": cfg["run"]["seed"]}
 
 
+def _section_config(cls, cfg: RunConfig, section: str, **extra):
+    """`cls` built from the fields it shares with `[section]`, plus the run
+    seed and any `extra` fields."""
+    values = cfg[section]
+    shared = {f.name: values[f.name] for f in dataclasses.fields(cls)
+              if f.name in values}
+    return cls(**shared, seed=cfg["run"]["seed"], **extra)
+
+
 def _load_ae(cfg: RunConfig) -> Autoencoder:
-    path = _ckpt_path(cfg, "ae")
-    _require(path, "ae")
-    ck = CK.load_checkpoint(path)
-    if ck.stage != "ae":
-        raise CK.CheckpointError(f"{path}: stage tag '{ck.stage}' != 'ae'")
-    snap = ck.config
-    model = Autoencoder(AEConfig(
-        vocab_size=snap["vocab_size"], d=snap["d"], h=snap["h"],
-        m=snap["m"], n=snap["n"], seed=snap["seed"]))
+    ck = _checkpoint(cfg, "ae")
+    model = Autoencoder(AEConfig(**ck.config))
     model.store.load_arrays(ck.arrays)
     model.freeze()
     return model
 
 
-def _load_prior(cfg: RunConfig, ae: Autoencoder) -> DP.DraftPrior:
-    path = _ckpt_path(cfg, "draftprior")
-    _require(path, "draftprior")
-    ck = CK.load_checkpoint(path)
-    if ck.stage != "draftprior":
-        raise CK.CheckpointError(
-            f"{path}: stage tag '{ck.stage}' != 'draftprior'")
+def _load_prior(cfg: RunConfig) -> DP.DraftPrior:
+    ck = _checkpoint(cfg, "draftprior")
     snap = ck.config
     prior = DP.DraftPrior(DP.DraftPriorConfig(
         d=snap["d"], m=snap["m"], n=snap["n"], alpha=snap["alpha"],
@@ -141,43 +147,27 @@ def _load_prior(cfg: RunConfig, ae: Autoencoder) -> DP.DraftPrior:
     return prior
 
 
-def _stage2_config(cfg: RunConfig) -> FF.Stage2Config:
-    s = cfg["stage2"]
-    return FF.Stage2Config(
-        steps=s["steps"], batch_size=s["batch_size"], lr=s["lr"],
-        weight_decay=s["weight_decay"], grad_clip=s["grad_clip"],
-        dropout=s["dropout"], rho=s["rho"], gamma=s["gamma"],
-        train_steps_ode=s["train_steps_ode"], eval_steps=s["eval_steps"],
-        beta=s["beta"], lambda_res=s["lambda_res"],
-        metric_weight=s["metric_weight"], ot_weight=s["ot_weight"],
-        ot_points=s["ot_points"], val_count=s["val_count"],
-        seed=cfg["run"]["seed"])
-
-
 def _load_bundle(cfg: RunConfig, variant: str) -> FF.Stage2Bundle:
-    path = _ckpt_path(cfg, "flow", variant)
-    _require(path, f"flow/{variant}")
-    ck = CK.load_checkpoint(path)
-    if ck.stage != "flow":
-        raise CK.CheckpointError(f"{path}: stage tag '{ck.stage}' != 'flow'")
+    ck = _checkpoint(cfg, "flow", variant)
     snap = ck.config
     bundle = FF.make_bundle(snap["variant"], snap["d"], snap["m"], snap["n"],
-                            snap["vocab_size"], _stage2_config(cfg))
+                            snap["vocab_size"],
+                            _section_config(FF.Stage2Config, cfg, "stage2"))
     bundle.load_arrays(ck.arrays)
     for s in bundle.stores():
         s.freeze()
     return bundle
 
 
-def _write_log(path, rows: list):
-    if not rows:
-        return
-    cols = list(rows[0])
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=cols)
+def _write_csv(path, columns: list, rows: list, comments=()):
+    """`# ` comment lines, a header and the rows; replaces `path` atomically."""
+    with CK.atomic_open(path, "w", newline="") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         for row in rows:
-            writer.writerow(row)
+            writer.writerow({k: row[k] for k in columns})
 
 
 # -- training ----------------------------------------------------------------
@@ -189,25 +179,22 @@ def cmd_train(stage: str, cfg: RunConfig) -> dict:
         raise ConfigError(f"unknown stage '{stage}' (choose from {STAGES})")
     wd = _workdir(cfg)
     _, vocab = _grammar_vocab()
-    seed = cfg["run"]["seed"]
     t0 = time.perf_counter()
+
+    def write_log(name: str, rows: list):
+        if rows:  # a zero-step run logs nothing
+            _write_csv(wd / name, list(rows[0]), rows)
 
     if stage == "ae":
         corpus = _train_corpus(cfg)
-        s = cfg["stage1"]
         model, history = train_stage1(
             corpus,
-            AEConfig(vocab_size=vocab.size, d=cfg["dims"]["d"],
-                     h=cfg["dims"]["h"], m=cfg["dims"]["m"],
-                     n=cfg["dims"]["n"], seed=seed),
-            StageOneTrainConfig(
-                steps=s["steps"], batch_size=s["batch_size"], lr=s["lr"],
-                weight_decay=s["weight_decay"], grad_clip=s["grad_clip"],
-                val_count=s["val_count"], seed=seed))
+            _section_config(AEConfig, cfg, "dims", vocab_size=vocab.size),
+            _section_config(StageOneTrainConfig, cfg, "stage1"))
         path = _ckpt_path(cfg, "ae")
         digest = CK.save_checkpoint(path, "ae", model.store.state_arrays(),
                                     _dims_snapshot(cfg, vocab))
-        _write_log(wd / "stage1_log.csv", history)
+        write_log("stage1_log.csv", history)
         return {"stage": "ae", "checkpoint": str(path), "hash": digest,
                 "seconds": time.perf_counter() - t0}
 
@@ -220,31 +207,28 @@ def cmd_train(stage: str, cfg: RunConfig) -> dict:
             DP.DraftPriorConfig(d=ae.config.d, m=ae.config.m, n=ae.config.n,
                                 alpha=s["alpha"],
                                 sample_alpha=s["sample_alpha"]),
-            DP.DraftPriorTrainConfig(
-                steps=s["steps"], batch_size=s["batch_size"], lr=s["lr"],
-                weight_decay=s["weight_decay"], grad_clip=s["grad_clip"],
-                val_count=s["val_count"], seed=seed))
+            _section_config(DP.DraftPriorTrainConfig, cfg, "draftprior"))
         path = _ckpt_path(cfg, "draftprior")
         snap = {**_dims_snapshot(cfg, vocab), "alpha": s["alpha"],
                 "sample_alpha": s["sample_alpha"]}
         digest = CK.save_checkpoint(path, "draftprior",
                                     prior.store.state_arrays(), snap)
-        _write_log(wd / "draftprior_log.csv", history)
-        _write_log(wd / "draftprior_curve.csv", curve)
+        write_log("draftprior_log.csv", history)
+        _write_csv(wd / "draftprior_curve.csv", DP.CURVE_COLUMNS, curve)
         return {"stage": "draftprior", "checkpoint": str(path),
                 "hash": digest, "seconds": time.perf_counter() - t0}
 
     ae = _load_ae(cfg)
-    prior = _load_prior(cfg, ae)
+    prior = _load_prior(cfg)
     corpus = _train_corpus(cfg)
-    s2cfg = _stage2_config(cfg)
+    s2cfg = _section_config(FF.Stage2Config, cfg, "stage2")
     out = {"stage": "flow", "checkpoints": {}, "hashes": {}}
     for variant in parse_names(cfg["stage2"]["variants"]):
-        bundle, _ = FF.train_stage2(ae, prior, corpus, variant, s2cfg)
+        bundle = FF.train_stage2(ae, prior, corpus, variant, s2cfg)
         path = _ckpt_path(cfg, "flow", variant)
         snap = {**_dims_snapshot(cfg, vocab), "variant": variant}
         digest = CK.save_checkpoint(path, "flow", bundle.state_arrays(), snap)
-        _write_log(wd / f"stage2_{variant}_log.csv", bundle.history)
+        write_log(f"stage2_{variant}_log.csv", bundle.history)
         out["checkpoints"][variant] = str(path)
         out["hashes"][variant] = digest
     out["seconds"] = time.perf_counter() - t0
@@ -271,18 +255,13 @@ def _write_report(cfg: RunConfig, name: str, columns: list, rows: list,
     wd = _workdir(cfg)
     csv_path = wd / f"report_{name}.csv"
     json_path = wd / f"report_{name}.json"
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(f"# config_hash: {provenance['config_hash']}\n")
-        fh.write(f"# seed: {provenance['seed']}\n")
-        for key, digest in provenance["checkpoint_hashes"].items():
-            fh.write(f"# checkpoint {key}: {digest}\n")
-        for note in provenance["notes"]:
-            fh.write(f"# note: {note}\n")
-        writer = csv.DictWriter(fh, fieldnames=columns)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in columns})
-    with open(json_path, "w") as fh:
+    comments = [f"config_hash: {provenance['config_hash']}",
+                f"seed: {provenance['seed']}"]
+    comments += [f"checkpoint {key}: {digest}"
+                 for key, digest in provenance["checkpoint_hashes"].items()]
+    comments += [f"note: {note}" for note in provenance["notes"]]
+    _write_csv(csv_path, columns, rows, comments)
+    with CK.atomic_open(json_path, "w") as fh:
         json.dump({"report": name, "provenance": provenance,
                    "columns": columns, "rows": rows}, fh, indent=2)
         fh.write("\n")
@@ -318,7 +297,7 @@ def cmd_eval(report: str, cfg: RunConfig) -> dict:
         prov["success_rate"] = out["success_rate"]
         return _write_report(cfg, report, list(rows[0]), rows, prov)
 
-    prior = _load_prior(cfg, ae)
+    prior = _load_prior(cfg)
 
     if report == "corruption_curve":
         levels = tuple(parse_floats(ev["corruption_levels"]))
@@ -326,7 +305,7 @@ def cmd_eval(report: str, cfg: RunConfig) -> dict:
         return _write_report(cfg, report, DP.CURVE_COLUMNS, rows,
                              _provenance(cfg, ["ae", "draftprior"]))
 
-    s2cfg = _stage2_config(cfg)
+    s2cfg = _section_config(FF.Stage2Config, cfg, "stage2")
 
     if report == "stage2_matrix":
         variants = parse_names(cfg["stage2"]["variants"])
@@ -381,7 +360,7 @@ def cmd_infer(cfg: RunConfig, prompt: str, draft: str, steps: int = 16,
         raise ConfigError("steps must be >= 0")
     _, vocab = _grammar_vocab()
     ae = _load_ae(cfg)
-    prior = _load_prior(cfg, ae)
+    prior = _load_prior(cfg)
     m, n = ae.config.m, ae.config.n
 
     prompt_ids = vocab.encode(prompt)

@@ -136,7 +136,7 @@ def stage2(ae32, prior32, corpus_full):
     seconds = {}
     for variant in FF.VARIANTS:
         def build(variant=variant):
-            bundle, _ = FF.train_stage2(ae32, prior32, corpus_full, variant, cfg)
+            bundle = FF.train_stage2(ae32, prior32, corpus_full, variant, cfg)
             return bundle.state_arrays()
 
         arrays, secs = cached_arrays(f"stage2-{variant}", build)

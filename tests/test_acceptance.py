@@ -116,7 +116,7 @@ def test_c01_gradient_integrity():
     errs["ot_regularized"] = grad_check(
         lambda _: AL.ot_regularized_loss(
             T.tmean(cloud * cloud), cloud, Tensor(target), weight=0.5,
-            backend="sinkhorn", epsilon=1e-3),
+            epsilon=1e-3),
         ot_store, eps=1e-3, max_entries_per_param=8)
 
     bad = {name: err for name, err in errs.items()

@@ -180,8 +180,6 @@ def test_regularized_loss_validation():
     base = Tensor(np.float32(1.0))
     with pytest.raises(ValueError):
         AL.ot_regularized_loss(base, A, B, weight=-0.1)
-    with pytest.raises(ValueError):
-        AL.ot_regularized_loss(base, A, B, weight=1.0, backend="exact")
 
 
 def test_regularized_loss_identical_clouds_near_base():
@@ -201,24 +199,10 @@ def test_gradcheck_through_sinkhorn():
     def loss_fn(params):
         base = T.tmean(cloud * cloud)
         return AL.ot_regularized_loss(base, cloud, Tensor(target), weight=0.5,
-                                      backend="sinkhorn", epsilon=1e-3)
+                                      epsilon=1e-3)
 
     err = grad_check(loss_fn, store, eps=1e-3, max_entries_per_param=12)
     assert err < 1e-3, f"relative error {err:.3e}"
-
-
-def test_gradcheck_through_sliced():
-    store = nn.ParamStore(rng_seed=2)
-    cloud = store.add("cloud", (5, 4))
-    target = np.random.default_rng(16).normal(size=(7, 4)).astype(np.float32)
-
-    def loss_fn(params):
-        base = T.tmean(cloud * cloud)
-        return AL.ot_regularized_loss(base, cloud, Tensor(target), weight=0.5,
-                                      backend="sliced", n_projections=16, seed=2)
-
-    err = grad_check(loss_fn, store, eps=1e-3, max_entries_per_param=12)
-    assert err < 1e-4, f"relative error {err:.3e}"
 
 
 def test_gradient_does_not_reach_target_cloud():

@@ -7,7 +7,6 @@ from draftflow import autoencoder as AE
 from draftflow import corpus as C
 from draftflow import tensor as T
 from draftflow.gradcheck import grad_check
-from draftflow.tensor import Tensor
 
 
 def _tiny_config(vocab_size=24, d=8):
@@ -29,22 +28,23 @@ def _tiny_corpus(count=520, seed=0):
     return out
 
 
+def _one_row(seed=2):
+    return C.pad_to_slots(C.generate_corpus(seed=seed, count=1)[0], 16, 32).ids
+
+
 def test_encode_deterministic_and_shapes(vocab):
     model = AE.Autoencoder(AE.AEConfig(vocab_size=vocab.size))
-    seq = C.pad_to_slots(C.generate_corpus(seed=2, count=1)[0], 16, 32)
-    ts = C.TokenSequence(seq.ids, seq.mask)
-    za = model.encode(ts)
-    zb = model.encode(ts)
-    assert za.values.shape == (32, 32)
-    assert np.array_equal(za.values.data, zb.values.data)
-    assert za.region == "full"
+    ids = _one_row()[None]
+    za = model.encode_array(ids).data
+    zb = model.encode_array(ids).data
+    assert za.shape == (1, 32, 32)
+    assert np.array_equal(za, zb)
 
 
 def test_encode_all_pad_is_finite(vocab):
     model = AE.Autoencoder(AE.AEConfig(vocab_size=vocab.size))
-    ts = C.TokenSequence(np.zeros(32, dtype=np.int64), np.zeros(32, dtype=bool))
-    z = model.encode(ts)
-    assert np.isfinite(z.values.data).all()
+    z = model.encode_array(np.zeros((1, 32), dtype=np.int64))
+    assert np.isfinite(z.data).all()
 
 
 def test_encoder_is_contextual(vocab):
@@ -53,8 +53,8 @@ def test_encoder_is_contextual(vocab):
     base = C.pad_to_slots(C.generate_corpus(seed=2, count=1)[0], 16, 32)
     changed_ids = base.ids.copy()
     changed_ids[20] = (changed_ids[20] + 1) % vocab.size or 4
-    za = model.encode(C.TokenSequence(base.ids, base.mask)).values.data
-    zb = model.encode(C.TokenSequence(changed_ids, base.mask)).values.data
+    za = model.encode_array(base.ids[None]).data[0]
+    zb = model.encode_array(changed_ids[None]).data[0]
     assert np.abs(za[:16] - zb[:16]).max() > 1e-6
 
 
@@ -66,21 +66,16 @@ def test_latents_are_slot_normalized(vocab, ae32):
 
 
 def test_decode_logits_rows_normalize(vocab, ae32):
-    seq = C.pad_to_slots(C.generate_corpus(seed=2, count=1)[0], 16, 32)
-    z = ae32.encode(C.TokenSequence(seq.ids, seq.mask))
-    logits = ae32.decode_logits(z)
+    logits = ae32.decode_array(ae32.encode_array(_one_row()[None]).data)
     probs = T.softmax(logits, axis=-1).data
     assert np.abs(probs.sum(axis=-1, dtype=np.float64) - 1.0).max() < 1e-6
 
 
-def test_decode_region_and_shape_checks(vocab):
+def test_decode_shape_checks(vocab):
     model = AE.Autoencoder(AE.AEConfig(vocab_size=vocab.size))
-    z = AE.LatentSequence(Tensor(np.zeros((32, 32), dtype=np.float32)), "full")
-    with pytest.raises(ValueError):
-        model.decode_logits(AE.LatentSequence(z.values, "suffix"))
-    bad = AE.LatentSequence(Tensor(np.zeros((32, 16), dtype=np.float32)), "full")
-    with pytest.raises(ValueError):
-        model.decode_logits(bad)
+    for shape in ((1, 32, 16), (1, 16, 32)):
+        with pytest.raises(ValueError):
+            model.decode_array(np.zeros(shape, dtype=np.float32))
 
 
 def test_zeroed_head_gives_bias_softmax(vocab):
@@ -88,8 +83,7 @@ def test_zeroed_head_gives_bias_softmax(vocab):
     model.head.w.data[:] = 0.0
     b = np.linspace(-1, 1, vocab.size).astype(np.float32)
     model.head.b.data[:] = b
-    seq = C.pad_to_slots(C.generate_corpus(seed=2, count=1)[0], 16, 32)
-    logits = model.decode_logits(model.encode(C.TokenSequence(seq.ids, seq.mask)))
+    logits = model.decode_array(model.encode_array(_one_row()[None]).data)
     expect = np.exp(b - b.max()) / np.exp(b - b.max()).sum()
     probs = T.softmax(logits, axis=-1).data
     assert np.abs(probs - expect).max() < 1e-6
@@ -100,15 +94,15 @@ def test_ae_loss_uniform_baseline(vocab):
     model.head.w.data[:] = 0.0
     model.head.b.data[:] = 0.0
     seq = C.pad_to_slots(C.generate_corpus(seed=2, count=1)[0], 16, 32)
-    loss = model.ae_loss(C.TokenSequence(seq.ids, seq.mask))
+    loss = model.loss_array(seq.ids[None], seq.mask[None])
     assert abs(float(loss.data) - np.log(vocab.size)) < 1e-5
 
 
 def test_ae_loss_requires_real_positions(vocab):
     model = AE.Autoencoder(AE.AEConfig(vocab_size=vocab.size))
-    ts = C.TokenSequence(np.zeros(32, dtype=np.int64), np.zeros(32, dtype=bool))
     with pytest.raises(ValueError):
-        model.ae_loss(ts)
+        model.loss_array(np.zeros((1, 32), dtype=np.int64),
+                         np.zeros((1, 32), dtype=bool))
 
 
 def test_ae_loss_gradcheck_small_instance():

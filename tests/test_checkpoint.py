@@ -43,6 +43,38 @@ def test_save_then_save_same_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+class _HalfWriter:
+    """File stand-in that writes half of the first chunk, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError("disk full")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_interrupted_save_leaves_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    CK.save_checkpoint(path, "ae", _arrays(1))
+    before = path.read_bytes()
+    real_open = open
+    monkeypatch.setattr(CK, "open", lambda *a, **k: _HalfWriter(real_open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        CK.save_checkpoint(path, "ae", _arrays(2))
+    with pytest.raises(OSError, match="disk full"):
+        CK.save_checkpoint(tmp_path / "fresh.ckpt", "ae", _arrays(2))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+
 def test_unknown_version_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
     CK.save_checkpoint(path, "ae", _arrays())

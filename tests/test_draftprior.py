@@ -9,13 +9,14 @@ from draftflow import autoencoder as AE
 from draftflow import corpus as C
 from draftflow import diagnostics as D
 from draftflow import draftprior as DP
+from draftflow import pipeline as P
 from draftflow import tensor as T
 from draftflow.gradcheck import grad_check
 from draftflow.tensor import Tensor
 
 
 def _suffix(shape, seed=0):
-    return AE.LatentSequence(T.gaussian_sample(shape, seed), "suffix")
+    return T.gaussian_sample(shape, seed).data
 
 
 def _tiny_pair(seed=7):
@@ -42,46 +43,41 @@ def _tiny_corpus(count=240, seed=0):
 
 # -- mixing ------------------------------------------------------------------
 
-def test_mixspec_rejects_bad_alpha():
+def test_start_latents_rejects_bad_alpha():
+    ae, prior = _tiny_pair()
+    examples = _tiny_corpus(count=2)
     for alpha in (0.0, -0.1, 1.01):
-        with pytest.raises(ValueError):
-            DP.MixSpec(alpha, 0)
+        with pytest.raises(ValueError, match="alpha"):
+            DP.start_latents(ae, prior, examples, 0.0, 0, alpha=alpha)
 
 
 def test_mix_alpha_one_is_identity():
     z = _suffix((16, 32))
-    out = DP.mix_with_noise(z, DP.MixSpec(1.0, 5))
-    assert np.array_equal(out.values.data, z.values.data)
+    out = DP.mix_with_noise(z, 1.0, 5)
+    assert np.array_equal(out, z)
 
 
 def test_mix_alpha_near_zero_is_noise():
     z = _suffix((16, 32), seed=1)
-    spec = DP.MixSpec(1e-4, seed=9)
-    out = DP.mix_with_noise(z, spec)
+    out = DP.mix_with_noise(z, 1e-4, 9)
     eps = T.gaussian_sample((16, 32), 9).data
-    assert np.abs(out.values.data - eps).max() < 1e-3
+    assert np.abs(out - eps).max() < 1e-3
 
 
 def test_mix_deterministic():
     z = _suffix((16, 32), seed=2)
-    a = DP.mix_with_noise(z, DP.MixSpec(0.7, 11)).values.data
-    b = DP.mix_with_noise(z, DP.MixSpec(0.7, 11)).values.data
+    a = DP.mix_with_noise(z, 0.7, 11)
+    b = DP.mix_with_noise(z, 0.7, 11)
     assert np.array_equal(a, b)
-    c = DP.mix_with_noise(z, DP.MixSpec(0.7, 12)).values.data
+    c = DP.mix_with_noise(z, 0.7, 12)
     assert not np.array_equal(a, c)
 
 
 def test_mix_preserves_unit_variance():
     # alpha^2 + (1 - alpha^2) = 1, checked empirically on 100k+ coordinates
     z = _suffix((200, 16, 32), seed=3)
-    out = DP.mix_with_noise(z, DP.MixSpec(0.7, 13)).values.data
+    out = DP.mix_with_noise(z, 0.7, 13)
     assert abs(float(np.var(out.astype(np.float64))) - 1.0) < 0.02
-
-
-def test_mix_requires_suffix_region():
-    z = AE.LatentSequence(T.gaussian_sample((32, 32), 0), "full")
-    with pytest.raises(ValueError):
-        DP.mix_with_noise(z, DP.MixSpec(0.7, 0))
 
 
 # -- start prediction --------------------------------------------------------
@@ -112,16 +108,6 @@ def test_predict_start_shape_checks():
     with pytest.raises(ValueError):
         prior.predict_start_array(T.gaussian_sample((2, 4, 6), 1),
                                   T.gaussian_sample((2, 4, 8), 2), 0.7)
-
-
-def test_predict_start_region_tags():
-    _, prior = _tiny_pair()
-    z_t = AE.LatentSequence(T.gaussian_sample((4, 8), 1), "suffix")
-    z_p = AE.LatentSequence(T.gaussian_sample((4, 8), 2), "prompt")
-    out = prior.predict_start(z_t, z_p, 0.7)
-    assert out.region == "suffix"
-    with pytest.raises(ValueError):
-        prior.predict_start(z_p, z_p, 0.7)
 
 
 def test_prior_layer_count_is_fixed():
@@ -259,7 +245,7 @@ def test_curve_csv_roundtrip(tmp_path, ae32, prior32, val_examples):
     rows = DP.corruption_curve(ae32, prior32, val_examples[:20],
                                dropouts=(0.0, 0.1), seed=5)
     path = tmp_path / "curve.csv"
-    DP.write_curve_csv(rows, path)
+    P._write_csv(path, DP.CURVE_COLUMNS, rows)
     text = path.read_text()
     assert text.splitlines()[0] == "dropout,ce,p_target,top1,n_examples,seed"
     back = list(csv.DictReader(text.splitlines()))

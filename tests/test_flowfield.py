@@ -10,6 +10,7 @@ from draftflow import corpus as C
 from draftflow import diagnostics as D
 from draftflow import flowfield as F
 from draftflow import metricnet as M
+from draftflow import pipeline as P
 from draftflow import tensor as T
 from draftflow.gradcheck import grad_check
 from draftflow.tensor import Tensor
@@ -427,9 +428,8 @@ def test_train_stage2_deterministic_and_leaves_frozen_untouched():
     cfg = F.Stage2Config(steps=4, batch_size=8, val_count=40, ot_points=16)
     sums = []
     for _ in range(2):
-        bundle, rows = F.train_stage2(ae, prior, corpus, "metric_ot", cfg)
+        bundle = F.train_stage2(ae, prior, corpus, "metric_ot", cfg)
         sums.append([s.checksum() for s in bundle.stores()])
-        assert [r["variant"] for r in rows] == ["start", "metric_ot", "oracle"]
     assert sums[0] == sums[1]
     assert ae.store.checksum() == ae_sum
     assert prior.store.checksum() == prior_sum
@@ -438,7 +438,7 @@ def test_train_stage2_deterministic_and_leaves_frozen_untouched():
 def test_refine_zero_steps_is_start():
     ae, prior, corpus = _tiny_stage2_setup()
     cfg = F.Stage2Config(steps=3, batch_size=8, val_count=40)
-    bundle, _ = F.train_stage2(ae, prior, corpus, "raw", cfg)
+    bundle = F.train_stage2(ae, prior, corpus, "raw", cfg)
     z = _g((5, 8, 8), 77)
     out = F.refine(bundle, z, steps=0)
     assert np.array_equal(out, z)
@@ -447,9 +447,10 @@ def test_refine_zero_steps_is_start():
 def test_report_csv_roundtrip(tmp_path):
     ae, prior, corpus = _tiny_stage2_setup()
     cfg = F.Stage2Config(steps=3, batch_size=8, val_count=40)
-    _, rows = F.train_stage2(ae, prior, corpus, "residual", cfg)
+    bundle = F.train_stage2(ae, prior, corpus, "residual", cfg)
+    rows = F.stage2_report(ae, prior, [bundle], corpus[-cfg.val_count:], cfg)
     path = tmp_path / "report.csv"
-    F.write_report_csv(rows, path)
+    P._write_csv(path, F.REPORT_COLUMNS, rows)
     with open(path) as fh:
         assert fh.readline().strip() == ",".join(F.REPORT_COLUMNS)
         got = list(csv.DictReader(fh, fieldnames=F.REPORT_COLUMNS))

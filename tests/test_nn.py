@@ -1,5 +1,7 @@
 """Layer and optimizer checks on top of the tape."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,42 @@ def test_adamw_reduces_quadratic():
         if first is None:
             first = loss.item()
     assert loss.item() < 0.01 * first
+
+
+def _fit_config(steps, log_every=2):
+    return types.SimpleNamespace(steps=steps, lr=0.05, weight_decay=0.0,
+                                 grad_clip=1.0, log_every=log_every)
+
+
+def test_fit_logs_every_k_steps_and_the_last():
+    store = nn.ParamStore(rng_seed=5)
+    w = store.add("w", (4, 4))
+
+    def step_fn(step):
+        loss = (w * w).sum()
+        return loss, {"double": 2.0 * float(loss.data)}
+
+    rows = nn.fit([store], _fit_config(6, log_every=4), step_fn)
+    assert [r["step"] for r in rows] == [0, 4, 5]
+    assert all(type(r["loss"]) is float for r in rows)
+    assert rows[-1]["double"] == pytest.approx(2.0 * rows[-1]["loss"])
+    assert rows[-1]["loss"] < rows[0]["loss"]
+    custom = nn.fit([store], _fit_config(2), step_fn,
+                    lambda step, loss, parts: {"step": step, "x": loss})
+    assert list(custom[0]) == ["step", "x"]
+
+
+def test_fit_raises_divergence_with_step():
+    store = nn.ParamStore(rng_seed=5)
+    w = store.add("w", (2, 2))
+
+    def step_fn(step):
+        scale = np.float32(np.nan if step == 3 else 1.0)
+        return (w * w).sum() * Tensor(scale), {}
+
+    with pytest.raises(nn.DivergenceError) as err:
+        nn.fit([store], _fit_config(10), step_fn)
+    assert err.value.step == 3
 
 
 def test_adamw_skips_frozen_params():

@@ -8,6 +8,7 @@ files, exit codes), not model quality.
 import csv
 import hashlib
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -296,6 +297,57 @@ def test_cli_divergence_exit_code(tmp_path, capsys):
                      "--out", str(tmp_path / "run2")])
     assert code == cli.EXIT_DIVERGED
     capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_integrate_divergence_exit_code(tiny, tmp_path, capsys):
+    # a fused run that blows up inside the ODE, not at the loss check
+    run = tmp_path / "run3"
+    run.mkdir()
+    for name in ("ae.ckpt", "draftprior.ckpt"):
+        (run / name).write_bytes((tiny["root"] / "full" / name).read_bytes())
+    diverge = tmp_path / "diverge_flow.ini"
+    diverge.write_text(TINY_INI.replace(
+        "[stage2]\nsteps = 4", "[stage2]\nsteps = 4\nlr = 1e9\nvariants = fused"))
+    code = cli.main(["train", "flow", "--config", str(diverge),
+                     "--out", str(run)])
+    assert code == cli.EXIT_DIVERGED
+    assert "non-finite state" in capsys.readouterr().err
+    assert not (run / "flow_fused.ckpt").exists()
+
+
+def test_external_corpus_eval_split_must_be_held_out(tmp_path, capsys):
+    source = tmp_path / "stories.tsv"
+    C.write_text_corpus(source, C.generate_corpus(seed=3, count=4))
+    ini = tmp_path / "leak.ini"
+    ini.write_text(f"[corpus]\nsource = {source}\nval_count = 201\n")
+    with pytest.raises(CFG.ConfigError, match="val_count"):
+        CFG.load_config(ini)
+    code = cli.main(["generate-corpus", "--config", str(ini),
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    capsys.readouterr()
+    ini.write_text(f"[corpus]\nsource = {source}\nval_count = 200\n")
+    assert CFG.load_config(ini)["corpus"]["val_count"] == 200
+
+
+def test_interrupted_report_write_leaves_previous_files(tmp_path):
+    cfg, _ = _make_cfg(tmp_path, "atomic")
+    prov = {"config_hash": cfg.hash(), "seed": 77, "checkpoint_hashes": {},
+            "notes": []}
+    out = P._write_report(cfg, "t", ["a"], [{"a": 1}], prov)
+    csv_path, json_path = pathlib.Path(out["csv"]), pathlib.Path(out["json"])
+    before = (csv_path.read_bytes(), json_path.read_bytes())
+    # the second row lacks its column: fails after the first row is written
+    with pytest.raises(KeyError):
+        P._write_report(cfg, "t", ["a"], [{"a": 2}, {}], prov)
+    assert (csv_path.read_bytes(), json_path.read_bytes()) == before
+    # the CSV half succeeds; the JSON dump fails part-way through the rows
+    with pytest.raises(TypeError):
+        P._write_report(cfg, "t", ["a"], [{"a": 2}, {"a": object()}], prov)
+    assert json_path.read_bytes() == before[1]
+    assert sorted(p.name for p in (tmp_path / "atomic").iterdir()) == \
+        ["report_t.csv", "report_t.json"]
 
 
 def test_cli_infer_ok(tiny, capsys):
