@@ -79,11 +79,17 @@ def save_checkpoint(path, stage: str, arrays: dict, config: dict | None = None) 
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read and verify a checkpoint; bit-exact against what was saved."""
+    """Read and verify a checkpoint; bit-exact against what was saved.
+
+    The payload is read once into one aligned buffer; every returned tensor
+    is a float32 view of it, so nothing is copied after the read.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    head, sep, payload = blob.partition(b"\n")
-    if not sep:
+        head = fh.readline()
+        payload = np.empty(os.fstat(fh.fileno()).st_size - len(head),
+                           dtype=np.uint8)
+        payload = payload[:fh.readinto(payload)]
+    if not head.endswith(b"\n"):
         raise CheckpointError(f"{path}: no manifest line")
     try:
         manifest = json.loads(head)
@@ -103,8 +109,7 @@ def load_checkpoint(path) -> Checkpoint:
         if len(raw) != nbytes:
             raise CheckpointError(f"{path}: tensor '{entry['name']}' "
                                   "truncated")
-        arr = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"])
-        arrays[entry["name"]] = arr.copy()
+        arrays[entry["name"]] = raw.view("<f4").reshape(entry["shape"])
     return Checkpoint(stage=manifest["stage"], arrays=arrays,
                       config=manifest["config"], version=version)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import atomic_open
 from .tensor import rng_for
 
 log = logging.getLogger(__name__)
@@ -378,7 +379,11 @@ def ingest_text_corpus(path, vocab: Vocabulary, max_prompt_tokens: int = 16,
 
 def write_text_corpus(path, examples: list[StoryExample],
                       delimiter: str = "\t"):
-    """Write one prompt/target pair per line, UTF-8, newline-terminated."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """Write one prompt/target pair per line, UTF-8, newline-terminated.
+
+    The file is replaced atomically: an interrupted write leaves the previous
+    file (or none), never a partial corpus.
+    """
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for ex in examples:
             fh.write(f"{ex.raw_text[0]}{delimiter}{ex.raw_text[1]}\n")

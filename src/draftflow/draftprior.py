@@ -87,7 +87,7 @@ class DraftPrior:
         x = self.in_proj(z_t) + self.pos + self.alpha_emb(Tensor(a))
         ctx = self.ctx_proj(z_p) + self.ctx_pos
         for layer in self.layers:
-            x = layer(x, context=ctx)
+            x = layer(x, layer.cross_attn.kv(ctx))
         return z_t + self.out_proj(self.ln_out(x))
 
 

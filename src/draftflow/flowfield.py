@@ -73,18 +73,28 @@ class FlowNet:
         self.ln_out = nn.LayerNorm(s, "flow.ln_out", c.h)
         self.out_proj = nn.Linear(s, "flow.out", c.h, c.d, zero_init=True)
 
-    def __call__(self, z: Tensor, t: float, z_p: Tensor) -> Tensor:
+    def context(self, z_p: Tensor) -> list:
+        """Per-layer cross-attention (k, v) heads of the (B, m, d) prompt.
+
+        They depend on the prompt alone, so one integration computes them
+        once and passes them to every field evaluation.
+        """
+        if z_p.ndim != 3 or z_p.shape[-2] != self.config.m:
+            raise ValueError("prompt latents must be (B, m, d)")
+        ctx = self.ctx_proj(z_p) + self.ctx_pos
+        return [block.cross_attn.kv(ctx) for block in self.blocks]
+
+    def __call__(self, z: Tensor, t: float, context: list) -> Tensor:
+        """Force on (B, n - m, d) suffix latents; `context` from `context()`."""
         c = self.config
-        if z.ndim != 3 or z_p.ndim != 3:
-            raise ValueError("force field expects batched (B, S, d) latents")
-        if z.shape[-2] != c.n - c.m or z_p.shape[-2] != c.m:
-            raise ValueError("suffix/prompt slot counts do not match config")
+        if z.ndim != 3 or z.shape[-2] != c.n - c.m:
+            raise ValueError("suffix latents must be (B, n - m, d)")
         emb = sinusoidal_embedding(t, c.h)
         x = self.in_proj(z) + self.pos + Tensor(emb)
-        ctx = self.ctx_proj(z_p) + self.ctx_pos
-        for conv, ln, block in zip(self.convs, self.conv_lns, self.blocks):
+        for conv, ln, block, kv in zip(self.convs, self.conv_lns, self.blocks,
+                                       context):
             x = x + conv(ln(x))
-            x = block(x, context=ctx)
+            x = block(x, kv)
         return self.out_proj(self.ln_out(x))
 
 
@@ -124,7 +134,7 @@ def sample_flow_state(z_source, z_target, t: float) -> FlowSample:
 
 def flow_matching_loss(flownet: FlowNet, sample: FlowSample, z_p) -> Tensor:
     """Mean squared error between the field and the path velocity."""
-    v = flownet(sample.z_t, sample.t, T.as_tensor(z_p))
+    v = flownet(sample.z_t, sample.t, flownet.context(T.as_tensor(z_p)))
     diff = v - sample.u_t
     return T.tmean(diff * diff)
 
@@ -137,7 +147,7 @@ def force_matching_loss(flownet: FlowNet, metric: MetricNet | None,
     flow_matching_loss: g is identically 1 and 1.0 * u_t == u_t bitwise.
     """
     z_p = T.as_tensor(z_p)
-    f = flownet(sample.z_t, sample.t, z_p)
+    f = flownet(sample.z_t, sample.t, flownet.context(z_p))
     if metric is None:
         target = sample.u_t
     else:
@@ -326,14 +336,15 @@ class Stage2Bundle:
             merged.update(s.state_arrays())
         return merged
 
-    def load_arrays(self, arrays: dict):
-        for s in self.stores():
-            s.load_arrays({k: arrays[k] for k in s.names()})
-
     def velocity_fn(self, z_p: Tensor):
-        """Closure turning the trained field into v(z, t) for integration."""
+        """Closure turning the trained field into v(z, t) for integration.
+
+        The prompt context is computed here, once per integration.
+        """
+        context = self.flownet.context(z_p)
+
         def v(z, t):
-            f = self.flownet(T.as_tensor(z), t, z_p)
+            f = self.flownet(T.as_tensor(z), t, context)
             if self.metric is None:
                 return f
             g = self.metric.metric_diag(z, t, z_p)

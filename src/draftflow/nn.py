@@ -3,10 +3,13 @@
 Modules register their tensors in a shared ParamStore under canonical dotted
 names. Initial values depend only on (name, rng_seed), never on creation
 order, so two runs that build the same architecture get bit-identical weights.
+Inside a `loading(arrays)` block the same constructors take their values from
+saved arrays instead, which is how a model is built from a checkpoint.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import zlib
 from typing import Iterator
@@ -15,6 +18,52 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
+
+
+class ParamMismatch(ValueError):
+    """Saved arrays do not fit the architecture being built."""
+
+
+class _ArraySource:
+    """The arrays a `loading` block builds from, and the names taken so far."""
+
+    def __init__(self, arrays: dict):
+        self.arrays = arrays
+        self.taken: set = set()
+
+    def take(self, name: str, shape: tuple) -> np.ndarray:
+        if name not in self.arrays:
+            raise ParamMismatch(f"parameter '{name}' missing")
+        arr = np.asarray(self.arrays[name], dtype=T.DTYPE)
+        if arr.shape != shape:
+            raise ParamMismatch(f"shape mismatch for '{name}': "
+                                f"{arr.shape} vs {shape}")
+        self.taken.add(name)
+        return arr
+
+
+_source: _ArraySource | None = None
+
+
+@contextlib.contextmanager
+def loading(arrays: dict):
+    """Build modules inside the block with parameters taken from `arrays`.
+
+    `ParamStore.add` then draws no init values: it takes `arrays[name]`,
+    shape-checked and not copied when it is already float32. A name the
+    architecture asks for but `arrays` lacks raises ParamMismatch at once;
+    arrays left unused when the block ends raise it on exit.
+    """
+    global _source
+    source = _ArraySource(arrays)
+    prev, _source = _source, source
+    try:
+        yield
+    finally:
+        _source = prev
+    extra = sorted(set(arrays) - source.taken)
+    if extra:
+        raise ParamMismatch(f"arrays not in the architecture: {extra}")
 
 
 class ParamStore:
@@ -30,18 +79,22 @@ class ParamStore:
         self.rng_seed = int(rng_seed)
         self._entries: dict[str, Tensor] = {}
 
-    def add(self, name: str, shape: tuple, scale: float | None = None) -> Tensor:
+    def add(self, name: str, shape: tuple, scale: float | None = None,
+            fill: float = 0.0) -> Tensor:
         """Create and register a parameter.
 
         scale=None gives fan-in scaled normal init (last-but-one extent is the
         fan-in for matrices, the only extent for vectors); scale=0.0 gives
-        exact zeros.
+        the exact constant `fill`. Inside a `loading` block the value comes
+        from the loaded arrays instead.
         """
         if name in self._entries:
             raise KeyError(f"duplicate parameter name '{name}'")
         shape = tuple(int(s) for s in shape)
-        if scale == 0.0:
-            data = np.zeros(shape, dtype=T.DTYPE)
+        if _source is not None:
+            data = _source.take(name, shape)
+        elif scale == 0.0:
+            data = np.full(shape, fill, dtype=T.DTYPE)
         else:
             if scale is None:
                 fan_in = shape[-2] if len(shape) >= 2 else shape[0]
@@ -97,19 +150,6 @@ class ParamStore:
     def state_arrays(self) -> dict:
         return {k: v.data for k, v in self._entries.items()}
 
-    def load_arrays(self, arrays: dict):
-        missing = set(self._entries) - set(arrays)
-        extra = set(arrays) - set(self._entries)
-        if missing or extra:
-            raise KeyError(f"parameter set mismatch: missing={sorted(missing)} "
-                           f"extra={sorted(extra)}")
-        for k, t in self._entries.items():
-            arr = np.asarray(arrays[k], dtype=T.DTYPE)
-            if arr.shape != t.data.shape:
-                raise ValueError(f"shape mismatch for '{k}': "
-                                 f"{arr.shape} vs {t.data.shape}")
-            t.data = arr.copy()
-
 
 # -- layers -----------------------------------------------------------------
 
@@ -129,8 +169,8 @@ class LayerNorm:
     def __init__(self, store: ParamStore, name: str, dim: int,
                  affine: bool = True):
         if affine:
-            self.gamma = store.add(f"{name}.gamma", (dim,), scale=0.0)
-            self.gamma.data += 1.0
+            self.gamma = store.add(f"{name}.gamma", (dim,), scale=0.0,
+                                   fill=1.0)
             self.beta = store.add(f"{name}.beta", (dim,), scale=0.0)
         else:
             self.gamma = None
@@ -158,13 +198,18 @@ class MultiHeadAttention:
         return T.transpose(T.reshape(x, (B, S, self.n_heads, self.head_dim)),
                            (0, 2, 1, 3))
 
-    def __call__(self, x: Tensor, context: Tensor | None = None) -> Tensor:
-        ctx = x if context is None else context
+    def kv(self, context: Tensor) -> tuple:
+        """Key and value heads of `context`; cross-attention to a context that
+        stays fixed over many calls computes them once."""
+        B, Sc, _ = context.shape
+        return (self._split(self.k(context), B, Sc),
+                self._split(self.v(context), B, Sc))
+
+    def __call__(self, x: Tensor, kv: tuple | None = None) -> Tensor:
+        """Self-attention, or cross-attention to precomputed `kv` heads."""
         B, S, dim = x.shape
-        Sc = ctx.shape[1]
         q = self._split(self.q(x), B, S)
-        k = self._split(self.k(ctx), B, Sc)
-        v = self._split(self.v(ctx), B, Sc)
+        k, v = self.kv(x) if kv is None else kv
         out = T.attention_core(q, k, v, 1.0 / np.sqrt(self.head_dim))
         out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (B, S, dim))
         return self.o(out)
@@ -193,12 +238,13 @@ class TransformerLayer:
         self.ln2 = LayerNorm(store, f"{name}.ln2", dim)
         self.ff = FeedForward(store, f"{name}.ff", dim, ff_hidden)
 
-    def __call__(self, x: Tensor, context: Tensor | None = None) -> Tensor:
+    def __call__(self, x: Tensor, cross_kv: tuple | None = None) -> Tensor:
+        """`cross_kv` is `self.cross_attn.kv(context)` for a cross layer."""
         x = x + self.attn(self.ln1(x))
         if self.cross_attn is not None:
-            if context is None:
+            if cross_kv is None:
                 raise ValueError("cross-attention layer needs a context")
-            x = x + self.cross_attn(self.ln_c(x), context)
+            x = x + self.cross_attn(self.ln_c(x), cross_kv)
         x = x + self.ff(self.ln2(x))
         return x
 

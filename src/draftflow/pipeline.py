@@ -20,6 +20,7 @@ from . import corpus as C
 from . import diagnostics as D
 from . import draftprior as DP
 from . import flowfield as FF
+from . import nn
 from . import tensor as T
 from .autoencoder import AEConfig, Autoencoder, StageOneTrainConfig, \
     batchify, train_stage1
@@ -36,6 +37,7 @@ LATENCY_NOTE = ("latency_s and tokens_per_s are wall-clock measurements and "
 REPORTS = ("corruption_curve", "stage2_matrix", "interpolation", "sweep",
            "dissociation")
 STAGES = ("ae", "draftprior", "flow")
+INFER_STAGES = ("load", "start", "refine", "decode")
 
 
 class MissingPrerequisite(RuntimeError):
@@ -128,32 +130,58 @@ def _section_config(cls, cfg: RunConfig, section: str, **extra):
     return cls(**shared, seed=cfg["run"]["seed"], **extra)
 
 
+def _build(cfg: RunConfig, stage: str, build, variant: str | None = None):
+    """Load a prerequisite checkpoint and run `build(snapshot)` with its
+    parameters taken from the checkpoint (`nn.loading`)."""
+    ck = _checkpoint(cfg, stage, variant)
+    try:
+        with nn.loading(ck.arrays):
+            return build(ck.config)
+    except nn.ParamMismatch as e:
+        path = _ckpt_path(cfg, stage, variant)
+        raise CK.CheckpointError(
+            f"{path}: tensor set does not match the architecture: {e}") \
+            from None
+
+
 def _load_ae(cfg: RunConfig) -> Autoencoder:
-    ck = _checkpoint(cfg, "ae")
-    model = Autoencoder(AEConfig(**ck.config))
-    model.store.load_arrays(ck.arrays)
+    model = _build(cfg, "ae", lambda snap: Autoencoder(AEConfig(**snap)))
     model.freeze()
     return model
 
 
 def _load_prior(cfg: RunConfig) -> DP.DraftPrior:
-    ck = _checkpoint(cfg, "draftprior")
-    snap = ck.config
-    prior = DP.DraftPrior(DP.DraftPriorConfig(
-        d=snap["d"], m=snap["m"], n=snap["n"], alpha=snap["alpha"],
-        sample_alpha=snap["sample_alpha"]))
-    prior.store.load_arrays(ck.arrays)
+    prior = _build(cfg, "draftprior", lambda snap: DP.DraftPrior(
+        DP.DraftPriorConfig(d=snap["d"], m=snap["m"], n=snap["n"],
+                            alpha=snap["alpha"],
+                            sample_alpha=snap["sample_alpha"])))
     prior.store.freeze()
     return prior
 
 
+# [stage2] values that fix a trained bundle's forward map; the flow
+# checkpoint records them and refuses a config that contradicts them
+FLOW_FIXED = ("gamma", "lambda_res")
+
+
 def _load_bundle(cfg: RunConfig, variant: str) -> FF.Stage2Bundle:
-    ck = _checkpoint(cfg, "flow", variant)
-    snap = ck.config
-    bundle = FF.make_bundle(snap["variant"], snap["d"], snap["m"], snap["n"],
-                            snap["vocab_size"],
-                            _section_config(FF.Stage2Config, cfg, "stage2"))
-    bundle.load_arrays(ck.arrays)
+    s2cfg = _section_config(FF.Stage2Config, cfg, "stage2")
+    path = _ckpt_path(cfg, "flow", variant)
+
+    def build(snap):
+        for key in FLOW_FIXED:
+            if key not in snap:
+                raise CK.CheckpointError(
+                    f"{path}: snapshot lacks [stage2] {key}; retrain the "
+                    "flow stage")
+            if snap[key] != getattr(s2cfg, key):
+                raise CK.CheckpointError(
+                    f"{path}: trained with [stage2] {key} = {snap[key]}, "
+                    f"config has {getattr(s2cfg, key)}")
+        return FF.make_bundle(snap["variant"], snap["d"], snap["m"],
+                              snap["n"], snap["vocab_size"], s2cfg)
+
+    bundle = _build(cfg, "flow", build, variant)
     for s in bundle.stores():
         s.freeze()
     return bundle
@@ -226,7 +254,8 @@ def cmd_train(stage: str, cfg: RunConfig) -> dict:
     for variant in parse_names(cfg["stage2"]["variants"]):
         bundle = FF.train_stage2(ae, prior, corpus, variant, s2cfg)
         path = _ckpt_path(cfg, "flow", variant)
-        snap = {**_dims_snapshot(cfg, vocab), "variant": variant}
+        snap = {**_dims_snapshot(cfg, vocab), "variant": variant,
+                **{key: getattr(s2cfg, key) for key in FLOW_FIXED}}
         digest = CK.save_checkpoint(path, "flow", bundle.state_arrays(), snap)
         write_log(f"stage2_{variant}_log.csv", bundle.history)
         out["checkpoints"][variant] = str(path)
@@ -359,6 +388,7 @@ def cmd_infer(cfg: RunConfig, prompt: str, draft: str, steps: int = 16,
     if steps < 0:
         raise ConfigError("steps must be >= 0")
     _, vocab = _grammar_vocab()
+    clock = [time.perf_counter()]
     ae = _load_ae(cfg)
     prior = _load_prior(cfg)
     m, n = ae.config.m, ae.config.n
@@ -378,14 +408,16 @@ def cmd_infer(cfg: RunConfig, prompt: str, draft: str, steps: int = 16,
         raw_text=(prompt, draft))
 
     bundle = _load_bundle(cfg, cfg["eval"]["report_variant"]) if steps else None
-    t0 = time.perf_counter()
+    clock.append(time.perf_counter())
     z_start, _, _, _ = DP.start_latents(ae, prior, [example], 0.0,
                                         cfg["run"]["seed"])
+    clock.append(time.perf_counter())
     z_final = FF.refine(bundle, z_start, steps=steps) if steps else z_start
+    clock.append(time.perf_counter())
     with no_grad():
         logits = ae.decode_array(z_final)
         logp = T.log_softmax(logits, axis=-1).data[0, m:, :]
-    latency = time.perf_counter() - t0
+    clock.append(time.perf_counter())
     tokens = logp.argmax(axis=-1)
     probs = np.exp(np.take_along_axis(logp, tokens[:, None], axis=1))[:, 0]
     cut = int(np.argmax(tokens == EOS)) if (tokens == EOS).any() else len(tokens)
@@ -396,7 +428,10 @@ def cmd_infer(cfg: RunConfig, prompt: str, draft: str, steps: int = 16,
         "tokens": kept,
         "token_probs": [round(float(p), 6) for p in probs[:cut]],
         "steps": steps,
-        "latency_s": latency,
+        "latency_s": clock[-1] - clock[1],
+        # wall seconds per stage; start is encode + DraftPrior
+        "stage_s": {stage: b - a for stage, a, b in zip(
+            INFER_STAGES, clock, clock[1:])},
         "empty_draft": empty_draft,
         "recoverability": None,
     }

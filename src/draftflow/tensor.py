@@ -186,9 +186,9 @@ def as_tensor(x) -> Tensor:
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward: Callable) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(
-        p.requires_grad or p._parents for p in parents
-    ):
+    if not _grad_enabled:
+        return out
+    if any(p.requires_grad or p._parents for p in parents):
         out._parents = tuple(parents)
         out._backward = backward
         out.requires_grad = True
@@ -386,13 +386,9 @@ def reshape(a, shape):
 def transpose(a, axes=None):
     a = as_tensor(a)
     data = np.transpose(a.data, axes)
-    if axes is None:
-        inv = None
-    else:
-        inv = tuple(np.argsort(axes))
 
     def backward(g):
-        return (np.transpose(g, inv),)
+        return (np.transpose(g, None if axes is None else np.argsort(axes)),)
 
     return _node(data, (a,), backward)
 
@@ -538,9 +534,12 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False):
 def layer_norm(x, gamma=None, beta=None, eps: float = 1e-5):
     """Normalize the last axis to zero mean / unit variance, optional affine."""
     x = as_tensor(x)
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # sum / n is the float32 reduction and division np.mean performs, bit for
+    # bit, without its Python-level dispatch
+    n = x.data.shape[-1]
+    mu = x.data.sum(axis=-1, keepdims=True) / n
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     has_gamma = gamma is not None
@@ -558,8 +557,8 @@ def layer_norm(x, gamma=None, beta=None, eps: float = 1e-5):
 
     def backward(g):
         dxhat = g * gamma.data if has_gamma else g
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = dxhat.sum(axis=-1, keepdims=True) / n
+        m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
         dx = inv * (dxhat - m1 - xhat * m2)
         grads = [dx]
         if has_gamma:
@@ -608,8 +607,9 @@ def dwconv1d(x, kernel, bias=None):
     K = kernel.data.shape[0]
     S = x.data.shape[-2]
     half = K // 2
-    pad_spec = [(0, 0)] * (x.data.ndim - 2) + [(half, K - 1 - half), (0, 0)]
-    xp = np.pad(x.data, pad_spec)
+    xp = np.zeros(x.data.shape[:-2] + (S + K - 1, x.data.shape[-1]),
+                  dtype=x.data.dtype)
+    xp[..., half:half + S, :] = x.data
     data = np.zeros_like(x.data)
     for k in range(K):
         data = data + xp[..., k:k + S, :] * kernel.data[k]

@@ -16,6 +16,7 @@ import pytest
 from draftflow import autoencoder as AE
 from draftflow import corpus as C
 from draftflow import draftprior as DP
+from draftflow import nn
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CACHE = ROOT / ".cache"
@@ -77,8 +78,8 @@ def _stage1_fixture(d: int, vocab, corpus):
         return model.store.state_arrays()
 
     arrays, secs = cached_arrays(f"stage1-d{d}", build)
-    model = AE.Autoencoder(cfg)
-    model.store.load_arrays(arrays)
+    with nn.loading(arrays):
+        model = AE.Autoencoder(cfg)
     model.freeze()
     return model, secs
 
@@ -106,8 +107,8 @@ def _prior_fixture(ae, corpus, name):
         return prior.store.state_arrays()
 
     arrays, secs = cached_arrays(name, build)
-    prior = DP.DraftPrior(cfg)
-    prior.store.load_arrays(arrays)
+    with nn.loading(arrays):
+        prior = DP.DraftPrior(cfg)
     prior.store.freeze()
     prior.train_seconds = secs
     return prior
@@ -141,8 +142,8 @@ def stage2(ae32, prior32, corpus_full):
 
         arrays, secs = cached_arrays(f"stage2-{variant}", build)
         c = ae32.config
-        bundle = FF.make_bundle(variant, c.d, c.m, c.n, c.vocab_size, cfg)
-        bundle.load_arrays(arrays)
+        with nn.loading(arrays):
+            bundle = FF.make_bundle(variant, c.d, c.m, c.n, c.vocab_size, cfg)
         for s in bundle.stores():
             s.freeze()
         bundles[variant] = bundle

@@ -99,7 +99,8 @@ def test_c01_gradient_integrity():
 
     def fused_fn(_):
         zp_c = Tensor(zp_np)
-        traj = FF.integrate(lambda zz, t: net(T.as_tensor(zz), t, zp_c),
+        ctx = net.context(zp_c)
+        traj = FF.integrate(lambda zz, t: net(T.as_tensor(zz), t, ctx),
                             Tensor(z0), 2)
         z_full = T.concat([zp_c, traj[-1]], axis=-2)
         total, _ = FF.fused_loss(ae, aux, z_full, traj[1], ids, mask,

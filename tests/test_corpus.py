@@ -237,3 +237,18 @@ def test_write_corpus_byte_identical(tmp_path):
     C.write_text_corpus(f1, examples)
     C.write_text_corpus(f2, C.generate_corpus(seed=5, count=50))
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_interrupted_corpus_write_leaves_previous_file(tmp_path):
+    path = tmp_path / "corpus_train.tsv"
+    C.write_text_corpus(path, C.generate_corpus(seed=5, count=20))
+    before = path.read_bytes()
+    # the eleventh entry is not an example: the write fails after 10 lines
+    broken = C.generate_corpus(seed=6, count=20)
+    broken.insert(10, None)
+    with pytest.raises(AttributeError):
+        C.write_text_corpus(path, broken)
+    with pytest.raises(AttributeError):
+        C.write_text_corpus(tmp_path / "fresh.tsv", broken)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus_train.tsv"]

@@ -10,10 +10,11 @@ from draftflow import corpus as C
 from draftflow import diagnostics as D
 from draftflow import flowfield as F
 from draftflow import metricnet as M
+from draftflow import nn
 from draftflow import pipeline as P
 from draftflow import tensor as T
 from draftflow.gradcheck import grad_check
-from draftflow.tensor import Tensor
+from draftflow.tensor import Tensor, no_grad
 
 
 def _g(shape, seed):
@@ -66,7 +67,7 @@ def test_sinusoidal_embedding():
 def test_flownet_zero_force_at_init():
     net = _tiny_net()
     z, zp = _zzp()
-    out = net(z, 0.4, zp)
+    out = net(z, 0.4, net.context(zp))
     assert out.shape == z.shape
     assert np.all(out.data == 0.0)
 
@@ -81,12 +82,15 @@ def test_flownet_depth_is_fixed():
 def test_flownet_rejects_bad_shapes():
     net = _tiny_net()
     z, zp = _zzp()
+    ctx = net.context(zp)
     with pytest.raises(ValueError):
-        net(Tensor(z.data[0]), 0.1, zp)
+        net(Tensor(z.data[0]), 0.1, ctx)
     with pytest.raises(ValueError):
-        net(Tensor(z.data[:, :3]), 0.1, zp)
+        net(Tensor(z.data[:, :3]), 0.1, ctx)
     with pytest.raises(ValueError):
-        net(z, 0.1, Tensor(zp.data[:, :2]))
+        net.context(Tensor(zp.data[:, :2]))
+    with pytest.raises(ValueError):
+        net.context(Tensor(zp.data[0]))
 
 
 def test_flownet_time_conditioning():
@@ -94,8 +98,9 @@ def test_flownet_time_conditioning():
     for t in net.store.tensors():
         t.data = t.data + 0.05 * _g(t.data.shape, 11)
     z, zp = _zzp(seed=5)
-    a = net(z, 0.0, zp).data
-    b = net(z, 1.0, zp).data
+    ctx = net.context(zp)
+    a = net(z, 0.0, ctx).data
+    b = net(z, 1.0, ctx).data
     assert np.abs(a - b).max() > 1e-5
 
 
@@ -370,7 +375,8 @@ def test_fused_loss_gradcheck_and_frozen_decoder():
 
     def loss_fn(_):
         zp = Tensor(zp_np)
-        traj = F.integrate(lambda zz, t: net(T.as_tensor(zz), t, zp),
+        ctx = net.context(zp)
+        traj = F.integrate(lambda zz, t: net(T.as_tensor(zz), t, ctx),
                            Tensor(z0), 2)
         z_full = T.concat([zp, traj[-1]], axis=-2)
         total, _ = F.fused_loss(ae, aux, z_full, traj[1], ids, mask, beta=0.1)
@@ -392,6 +398,25 @@ def test_fused_loss_gradcheck_and_frozen_decoder():
 
 # -- bundle plumbing ---------------------------------------------------------
 
+def _assert_loading_matches_overwrite(build, stores):
+    """A model built inside `nn.loading` equals one drawn, then overwritten.
+
+    `build(seed)` makes the model; the arrays are shifted off every init
+    value, so a loaded parameter that init code touched would show.
+    """
+    arrays = {k: v + np.float32(0.5)
+              for s in stores(build(1)) for k, v in s.state_arrays().items()}
+    with nn.loading(arrays):
+        loaded = build(2)
+    drawn = build(2)
+    for s in stores(drawn):
+        for name, t in s.items():
+            t.data = arrays[name].copy()
+    sums = [s.checksum() for s in stores(loaded)]
+    assert sums == [s.checksum() for s in stores(drawn)]
+    assert sums != [s.checksum() for s in stores(build(2))]
+
+
 def test_make_bundle_parts_and_roundtrip():
     for variant, has in [("raw", (False, False, False)),
                          ("fused", (False, False, True)),
@@ -400,13 +425,44 @@ def test_make_bundle_parts_and_roundtrip():
         b = F.make_bundle(variant, 8, 4, 8, 24)
         assert (b.metric is not None, b.refiner is not None,
                 b.aux is not None) == has
-        arrays = b.state_arrays()
-        b2 = F.make_bundle(variant, 8, 4, 8, 24)
-        b2.load_arrays(arrays)
-        for s1, s2 in zip(b.stores(), b2.stores()):
-            assert s1.checksum() == s2.checksum()
+        _assert_loading_matches_overwrite(
+            lambda seed, v=variant: F.make_bundle(
+                v, 8, 4, 8, 24, F.Stage2Config(seed=seed)),
+            lambda bundle: bundle.stores())
     with pytest.raises(ValueError):
         F.make_bundle("nope", 8, 4, 8, 24)
+
+
+def test_loaded_ae_and_prior_match_drawn_then_overwritten():
+    from draftflow import draftprior as DP
+
+    _assert_loading_matches_overwrite(
+        lambda seed: AE.Autoencoder(AE.AEConfig(
+            vocab_size=24, d=8, h=16, m=4, n=8, n_heads=4, seed=seed)),
+        lambda ae: [ae.store])
+    _assert_loading_matches_overwrite(
+        lambda seed: DP.DraftPrior(DP.DraftPriorConfig(
+            d=8, m=4, n=8, h=16, n_heads=4, seed=seed)),
+        lambda prior: [prior.store])
+
+
+def test_integrate_gradcheck_through_shared_context():
+    # both Euler steps read one context; its gradient sums over them
+    bundle = F.make_bundle("raw", 8, 4, 8, 24)
+    net = bundle.flownet
+    for t in net.store.tensors():
+        t.data = t.data + 0.1 * _g(t.data.shape, 61)
+    z0, zp = _zzp(seed=12, B=2)
+    w = Tensor(_g(z0.shape, 14))
+
+    def loss_fn(_):
+        traj = F.integrate(bundle.velocity_fn(zp), z0, 2, gamma=1.0)
+        return T.tsum(traj[-1] * w)
+
+    params = {k: net.store[k]
+              for k in ("flow.ctx.w", "flow.layer2.xattn.k.w")}
+    assert grad_check(loss_fn, params, eps=1e-3,
+                      max_entries_per_param=6) < 1e-4
 
 
 def test_train_stage2_input_validation():
@@ -501,6 +557,32 @@ def test_report_rerun_is_identical(ae32, prior32, stage2, val_examples):
 def test_stage2_training_within_budget(stage2):
     _, seconds = stage2
     assert sum(seconds.values()) <= 600.0
+
+
+def test_refine_matches_per_step_context_reference(ae32, prior32, stage2,
+                                                  val_examples):
+    from draftflow.draftprior import start_latents
+
+    bundles, _ = stage2
+    m = ae32.config.m
+    z_start, _, _, _ = start_latents(ae32, prior32, val_examples[:16], 0.05, 5)
+    z_p = Tensor(z_start[:, :m])
+    for bundle in bundles.values():
+        net, metric = bundle.flownet, bundle.metric
+
+        def v_ref(z, t):
+            f = net(T.as_tensor(z), t, net.context(z_p))
+            if metric is None:
+                return f
+            return F.natural_velocity(f, metric.metric_diag(z, t, z_p))
+
+        with no_grad():
+            z_end = F.integrate(v_ref, Tensor(z_start[:, m:]), 16,
+                                bundle.config.gamma)[-1]
+            if bundle.refiner is not None:
+                z_end = F.bounded_residual(z_end, z_p, bundle.refiner)
+        got = F.refine(bundle, z_start, steps=16)
+        assert got[:, m:].tobytes() == z_end.data.tobytes(), bundle.variant
 
 
 def test_fused_step0_matches_prior_eval(ae32, prior32, stage2, val_examples):

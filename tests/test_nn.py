@@ -43,16 +43,31 @@ def test_paramstore_checksum_tracks_values():
     assert store.checksum() != before
 
 
-def test_paramstore_roundtrip_load():
-    store = nn.ParamStore(rng_seed=3)
+def _build_wb(rng_seed):
+    store = nn.ParamStore(rng_seed=rng_seed)
     store.add("w", (3, 3))
     store.add("b", (3,), scale=0.0)
-    arrays = {k: v.copy() for k, v in store.state_arrays().items()}
-    store["w"].data[:] = 0
-    store.load_arrays(arrays)
-    assert np.array_equal(store["w"].data, arrays["w"])
-    with pytest.raises(KeyError):
-        store.load_arrays({"w": arrays["w"]})
+    return store
+
+
+def test_paramstore_roundtrip_load():
+    arrays = {k: v + 1.0 for k, v in _build_wb(3).state_arrays().items()}
+    with nn.loading(arrays):
+        store = _build_wb(4)
+    for name, arr in arrays.items():
+        assert store[name].data.tobytes() == arr.tobytes()
+    # a missing, an extra and a mis-shaped array each refuse the build
+    with pytest.raises(nn.ParamMismatch, match="'b' missing"):
+        with nn.loading({"w": arrays["w"]}):
+            _build_wb(3)
+    with pytest.raises(nn.ParamMismatch, match="extra"):
+        with nn.loading({**arrays, "extra": arrays["b"]}):
+            _build_wb(3)
+    with pytest.raises(nn.ParamMismatch, match="shape mismatch for 'w'"):
+        with nn.loading({**arrays, "w": arrays["w"][:2]}):
+            _build_wb(3)
+    # outside the block the store draws again
+    assert _build_wb(3).checksum() != store.checksum()
 
 
 def _layer_gradcheck(build, n_in, tol=1e-4, seed=0):
@@ -93,7 +108,7 @@ def test_transformer_layer_gradients_with_cross():
     def build(store):
         layer = nn.TransformerLayer(store, "blk", 8, n_heads=2, ff_hidden=16,
                                     cross=True)
-        return lambda x: layer(x, Tensor(ctx))
+        return lambda x: layer(x, layer.cross_attn.kv(Tensor(ctx)))
 
     _layer_gradcheck(build, (2, 5, 8), seed=23)
 

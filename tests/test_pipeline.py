@@ -143,6 +143,8 @@ def test_checkpoint_stage_tags_and_snapshots(tiny):
     assert prior.stage == "draftprior" and "alpha" in prior.config
     fused = CK.load_checkpoint(wd / "flow_fused.ckpt")
     assert fused.stage == "flow" and fused.config["variant"] == "fused"
+    assert fused.config["gamma"] == 0.01
+    assert fused.config["lambda_res"] == 0.1
 
 
 def test_checkpoint_round_trip_bit_identical(tiny, tmp_path):
@@ -233,6 +235,10 @@ def test_infer_round_trip(tiny):
     assert all(isinstance(t, int) for t in out["tokens"])
     assert len(out["token_probs"]) == len(out["tokens"])
     assert out["latency_s"] > 0
+    assert list(out["stage_s"]) == ["load", "start", "refine", "decode"]
+    assert all(v > 0 for v in out["stage_s"].values())
+    assert out["latency_s"] == pytest.approx(
+        sum(out["stage_s"].values()) - out["stage_s"]["load"])
     assert out["empty_draft"] is False
     assert 0.0 < out["recoverability"]["p_target"] <= 1.0
 
@@ -299,13 +305,17 @@ def test_cli_divergence_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _copy_run(tiny, run, names):
+    run.mkdir()
+    for name in names:
+        (run / name).write_bytes((tiny["root"] / "full" / name).read_bytes())
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_integrate_divergence_exit_code(tiny, tmp_path, capsys):
     # a fused run that blows up inside the ODE, not at the loss check
     run = tmp_path / "run3"
-    run.mkdir()
-    for name in ("ae.ckpt", "draftprior.ckpt"):
-        (run / name).write_bytes((tiny["root"] / "full" / name).read_bytes())
+    _copy_run(tiny, run, ["ae.ckpt", "draftprior.ckpt"])
     diverge = tmp_path / "diverge_flow.ini"
     diverge.write_text(TINY_INI.replace(
         "[stage2]\nsteps = 4", "[stage2]\nsteps = 4\nlr = 1e9\nvariants = fused"))
@@ -359,3 +369,48 @@ def test_cli_infer_ok(tiny, capsys):
     assert code == cli.EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["steps"] == 1
+
+
+def test_flow_checkpoint_refuses_contradicting_stage2_config(tiny, tmp_path,
+                                                           capsys):
+    run = tmp_path / "run"
+    _copy_run(tiny, run, ["ae.ckpt", "draftprior.ckpt", "flow_residual.ckpt"])
+    ini = tmp_path / "moved.ini"
+    ini.write_text(TINY_INI.replace(
+        "eval_steps = 4", "eval_steps = 16\nlambda_res = 0.9\n"
+        "variants = residual"))
+    code = cli.main(["eval", "stage2_matrix", "--config", str(ini),
+                     "--out", str(run)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "flow_residual.ckpt" in err and "lambda_res" in err
+    # eval_steps alone is an eval-time setting
+    ini.write_text(TINY_INI.replace(
+        "eval_steps = 4", "eval_steps = 16\nvariants = residual"))
+    assert cli.main(["eval", "stage2_matrix", "--config", str(ini),
+                     "--out", str(run)]) == cli.EXIT_OK
+    # a snapshot without the values it was trained with is refused too
+    ck = CK.load_checkpoint(run / "flow_residual.ckpt")
+    del ck.config["gamma"]
+    CK.save_checkpoint(run / "flow_residual.ckpt", ck.stage, ck.arrays,
+                       ck.config)
+    code = cli.main(["eval", "stage2_matrix", "--config", str(ini),
+                     "--out", str(run)])
+    assert code == cli.EXIT_CONFIG
+    assert "lacks [stage2] gamma" in capsys.readouterr().err
+
+
+def test_checkpoint_architecture_mismatch_exit_code(tiny, tmp_path, capsys):
+    run = tmp_path / "run"
+    _copy_run(tiny, run, ["ae.ckpt", "draftprior.ckpt"])
+    ck = CK.load_checkpoint(run / "draftprior.ckpt")
+    del ck.arrays["dp.layer1.xattn.k.w"]
+    CK.save_checkpoint(run / "draftprior.ckpt", ck.stage, ck.arrays,
+                       ck.config)
+    ex = C.generate_corpus(seed=11, count=1)[0]
+    code = cli.main(["infer", "--config", str(tiny["ini"]), "--out", str(run),
+                     "--prompt", ex.raw_text[0], "--draft", ex.raw_text[1],
+                     "--steps", "0"])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "draftprior.ckpt" in err and "dp.layer1.xattn.k.w" in err

@@ -144,6 +144,53 @@ def test_layer_norm_gradients_with_and_without_affine():
     check_op(lambda xs: (T.layer_norm(xs[0]) * T.layer_norm(xs[0])).sum(), [x])
 
 
+def _layer_norm_ref(x, gamma, beta, g, eps=1e-5):
+    """layer_norm forward and input gradient written with np.mean."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
+    dxhat = g * gamma
+    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    return xhat * gamma + beta, dx
+
+
+def _dwconv_ref(x, kernel, bias):
+    """dwconv1d forward written with np.pad."""
+    K, S = kernel.shape[0], x.shape[-2]
+    half = K // 2
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(half, K - 1 - half), (0, 0)])
+    out = np.zeros_like(x)
+    for k in range(K):
+        out = out + xp[..., k:k + S, :] * kernel[k]
+    return out + bias
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_and_dwconv_match_mean_and_pad_bitwise(dtype):
+    rng = np.random.default_rng(12)
+    for shape in [(3, 7, 16), (2, 5, 64), (4, 33)]:
+        x = (3.0 * rng.standard_normal(shape) + 0.7).astype(dtype)
+        gamma = rng.standard_normal(shape[-1]).astype(dtype)
+        beta = rng.standard_normal(shape[-1]).astype(dtype)
+        g = rng.standard_normal(shape).astype(dtype)
+        xt = Tensor(x, requires_grad=True)
+        out = T.layer_norm(xt, Tensor(gamma), Tensor(beta))
+        T.tsum(out * Tensor(g)).backward()
+        ref_out, ref_dx = _layer_norm_ref(x, gamma, beta, g)
+        assert out.data.dtype == dtype
+        assert out.data.tobytes() == ref_out.tobytes()
+        assert xt.grad.tobytes() == ref_dx.tobytes()
+    for K in (1, 4, 5):
+        x = rng.standard_normal((2, 9, 6)).astype(dtype)
+        kernel = rng.standard_normal((K, 6)).astype(dtype)
+        bias = rng.standard_normal(6).astype(dtype)
+        out = T.dwconv1d(Tensor(x), Tensor(kernel), Tensor(bias))
+        assert out.data.dtype == dtype
+        assert out.data.tobytes() == _dwconv_ref(x, kernel, bias).tobytes()
+
+
 def test_embedding_and_gather_gradients():
     rng = np.random.default_rng(108)
     table = _rand(rng, 11, 5)
