@@ -72,6 +72,12 @@ def _suffix_stats(model, z_full, ids, mask):
     return true_lp, hits, smask, logp
 
 
+def _p_target_rows(true_lp: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per-row mean target-token probability over the weighted suffix slots."""
+    per_n = np.maximum(w.sum(axis=1), 1.0)
+    return (np.exp(true_lp.astype(np.float64)) * w).sum(axis=1) / per_n
+
+
 def recoverability(model, z_full, ids, mask, per_example: bool = False):
     """CE, mean target-token probability, and top-1 over suffix real slots."""
     true_lp, hits, smask, _ = _suffix_stats(model, z_full, ids, mask)
@@ -85,7 +91,7 @@ def recoverability(model, z_full, ids, mask, per_example: bool = False):
     if per_example:
         per_n = np.maximum(w.sum(axis=1), 1.0)
         out["ce_per_example"] = -(true_lp * w).sum(axis=1) / per_n
-        out["p_target_per_example"] = (np.exp(true_lp.astype(np.float64)) * w).sum(axis=1) / per_n
+        out["p_target_per_example"] = _p_target_rows(true_lp, w)
     return out
 
 
@@ -147,8 +153,10 @@ def dissociation_probe(model, z_full_real, ids, mask, cosine_floor: float = 0.99
     Gradient-ascends decoder CE with respect to the suffix latent, projecting
     back inside the cosine cone after every step; stops early per example
     once its P_target falls below target_ratio times the real-latent value.
-    Returns per-example arrays plus a success summary; exhausted budgets are
-    flagged, never raised.
+    One decoder pass per step serves two ends: its log-probs score the
+    previous step's proposal, and its backward gives this step's direction.
+    Rows that reached their goal leave the batch. Returns per-example arrays
+    plus a success summary; exhausted budgets are flagged, never raised.
     """
     if not 0.9 < cosine_floor < 1.0:
         raise ValueError("cosine_floor must lie in (0.9, 1)")
@@ -166,47 +174,56 @@ def dissociation_probe(model, z_full_real, ids, mask, cosine_floor: float = 0.99
     base_pt = base["p_target_per_example"]
     goal = target_ratio * base_pt
 
-    smask = mask[:, m:]
-    w = smask.astype(np.float32)
+    w = mask[:, m:].astype(np.float32)
     denom = np.maximum(w.sum(axis=1), 1.0)
     step_len = step_scale * np.linalg.norm(z_s, axis=1, keepdims=True)
 
     z_adv = z_s.copy()
-    done = np.zeros(B, dtype=bool)
+    p_final = np.empty(B)
     steps_used = np.zeros(B, dtype=np.int64)
+    rows = np.arange(B)  # examples still ascending
+
+    def suffix_latents(idx):
+        return z_adv[idx].reshape(-1, S, d).astype(np.float32)
+
+    def suffix_logp(idx, zt):
+        """True-token log-probs over the suffix slots of examples `idx`."""
+        logits = model.decode_array(T.concat([Tensor(z_p[idx]), zt], axis=1))
+        return T.gather_last(T.log_softmax(logits, axis=-1), ids[idx])[:, m:]
+
     for step in range(step_budget):
-        if done.all():
+        if not len(rows):
             break
-        zt = Tensor(z_adv.reshape(B, S, d).astype(np.float32), requires_grad=True)
-        z_cat = T.concat([Tensor(z_p), zt], axis=1)
-        logits = model.decode_array(z_cat)
-        logp = T.log_softmax(logits, axis=-1)
-        true_lp = T.gather_last(logp, ids)[:, m:]
-        ce_per = T.tsum(true_lp * Tensor(-w), axis=1) / Tensor(denom)
-        # ascend only unfinished rows
-        T.tsum(ce_per * Tensor((~done).astype(np.float32))).backward()
-        g = zt.grad.reshape(B, S * d).astype(np.float64)
+        zt = Tensor(suffix_latents(rows), requires_grad=True)
+        true_lp = suffix_logp(rows, zt)
+        keep = np.ones(len(rows), dtype=bool)
+        if step > 0:
+            # these log-probs score the proposal the previous step made
+            p_final[rows] = _p_target_rows(true_lp.data, w[rows])
+            keep = p_final[rows] > goal[rows]
+        ce_per = (T.tsum(true_lp * Tensor(-w[rows]), axis=1)
+                  / Tensor(denom[rows]))
+        # ascend only the rows that have not reached their goal
+        T.tsum(ce_per * Tensor(keep.astype(np.float32))).backward()
+        g = zt.grad[keep].reshape(-1, S * d).astype(np.float64)
         gn = np.linalg.norm(g, axis=1, keepdims=True)
         g = np.where(gn > 0, g / np.maximum(gn, 1e-24), 0.0)
-        proposal = _project_to_cone(z_adv + step_len * g, ref_unit, cosine_floor)
-        z_adv = np.where(done[:, None], z_adv, proposal)
-        steps_used[~done] = step + 1
+        rows = rows[keep]
+        z_adv[rows] = _project_to_cone(z_adv[rows] + step_len[rows] * g,
+                                       ref_unit[rows], cosine_floor)
+        steps_used[rows] = step + 1
+    # rows left over hold a proposal no pass has scored yet
+    if len(rows):
         with no_grad():
-            z_cat_now = np.concatenate(
-                [z_p, z_adv.reshape(B, S, d).astype(np.float32)], axis=1)
-            now = recoverability(model, z_cat_now, ids, mask, per_example=True)
-        done = done | (now["p_target_per_example"] <= goal)
+            true_lp = suffix_logp(rows, Tensor(suffix_latents(rows)))
+        p_final[rows] = _p_target_rows(true_lp.data, w[rows])
 
-    z_adv32 = z_adv.reshape(B, S, d).astype(np.float32)
-    final = recoverability(
-        model, np.concatenate([z_p, z_adv32], axis=1), ids, mask,
-        per_example=True)
     cos = _cosine_rows(z_adv, z_s)
-    succ = final["p_target_per_example"] <= goal
+    succ = p_final <= goal
     return {
-        "z_adv": z_adv32,
+        "z_adv": z_adv.reshape(B, S, d).astype(np.float32),
         "cosine": cos,
-        "p_target": final["p_target_per_example"],
+        "p_target": p_final,
         "p_target_real": base_pt,
         "success": succ,
         "success_rate": float(succ.mean()),

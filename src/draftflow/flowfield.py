@@ -283,7 +283,8 @@ def fused_loss(ae: Autoencoder, aux: AuxHead, z_full: Tensor, z_mid: Tensor,
 VARIANTS = ("raw", "fused", "metric_ot", "residual")
 
 REPORT_COLUMNS = ["variant", "ce", "p_target", "top1", "latent_move_l2",
-                  "metric_std", "metric_min", "metric_max", "ot_cost", "seed"]
+                  "metric_std", "metric_min", "metric_max", "ot_cost",
+                  "ot_converged", "ot_iters", "seed"]
 
 
 @dataclass
@@ -339,15 +340,19 @@ class Stage2Bundle:
     def velocity_fn(self, z_p: Tensor):
         """Closure turning the trained field into v(z, t) for integration.
 
-        The prompt context is computed here, once per integration.
+        The prompt context and the metric's prompt features are computed
+        here, once per integration.
         """
         context = self.flownet.context(z_p)
+        cfg = self.flownet.config
+        prompt = None if self.metric is None else \
+            self.metric.prompt_features(z_p, cfg.n - cfg.m)
 
         def v(z, t):
             f = self.flownet(T.as_tensor(z), t, context)
             if self.metric is None:
                 return f
-            g = self.metric.metric_diag(z, t, z_p)
+            g = self.metric.metric_diag(z, t, z_p, prompt)
             return natural_velocity(f, g)
         return v
 
@@ -386,9 +391,10 @@ def refine(bundle: Stage2Bundle, z_start_full: np.ndarray,
     n_steps = bundle.config.eval_steps if steps is None else steps
     with no_grad():
         z_p = Tensor(z[:, :m])
-        traj = integrate(bundle.velocity_fn(z_p), Tensor(z[:, m:]), n_steps,
-                         bundle.config.gamma)
-        z_end = traj[-1]
+        z_end = Tensor(z[:, m:])
+        if n_steps:  # a 0-step run reads no prompt context
+            z_end = integrate(bundle.velocity_fn(z_p), z_end, n_steps,
+                              bundle.config.gamma)[-1]
         if bundle.refiner is not None:
             z_end = bounded_residual(z_end, z_p, bundle.refiner)
     return np.concatenate([z[:, :m], z_end.data], axis=1)
@@ -413,7 +419,9 @@ def _eval_row(ae: Autoencoder, variant: str, z_full, z_start_full,
     return {"variant": variant, "ce": rec["ce"], "p_target": rec["p_target"],
             "top1": rec["top1"], "latent_move_l2": float(move),
             "metric_std": stats["std"], "metric_min": stats["min"],
-            "metric_max": stats["max"], "ot_cost": ot.cost, "seed": seed}
+            "metric_max": stats["max"], "ot_cost": ot.cost,
+            "ot_converged": int(ot.converged), "ot_iters": ot.iters,
+            "seed": seed}
 
 
 def train_stage2(ae: Autoencoder, prior: DraftPrior, corpus: list,

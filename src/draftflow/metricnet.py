@@ -45,22 +45,39 @@ class MetricNet:
         self.l2 = nn.Linear(self.store, "metric.l2", config.hidden, d,
                             zero_init=True)
 
-    def metric_diag(self, z_t, t: float, z_p) -> Tensor:
-        """(B, S, d) suffix latents at time t -> positive (B, S, d) diagonal."""
+    def prompt_features(self, z_p, S: int) -> Tensor:
+        """Mean-pooled (B, m, d) prompt broadcast over S suffix slots.
+
+        It depends on the prompt alone, so one integration computes it once
+        and passes it to every `metric_diag` call.
+        """
+        z_p = T.as_tensor(z_p)
+        if z_p.ndim != 3:
+            raise ValueError("metric_diag expects batched (B, S, d) latents")
+        if z_p.shape[-1] != self.config.d:
+            raise ValueError("latent width mismatch")
+        pooled = T.tmean(z_p, axis=-2, keepdims=True)
+        return pooled * Tensor(np.ones((z_p.shape[0], S, 1), dtype=np.float32))
+
+    def metric_diag(self, z_t, t: float, z_p, prompt: Tensor | None = None
+                    ) -> Tensor:
+        """(B, S, d) suffix latents at time t -> positive (B, S, d) diagonal.
+
+        `prompt` is `prompt_features(z_p, S)`, computed here when not given.
+        """
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"t must be in [0,1], got {t}")
         z_t = T.as_tensor(z_t)
-        z_p = T.as_tensor(z_p)
-        if z_t.ndim != 3 or z_p.ndim != 3:
+        if z_t.ndim != 3:
             raise ValueError("metric_diag expects batched (B, S, d) latents")
         B, S, d = z_t.shape
-        if d != self.config.d or z_p.shape[-1] != d:
+        if d != self.config.d:
             raise ValueError("latent width mismatch")
-        pooled = T.tmean(z_p, axis=-2, keepdims=True)
+        if prompt is None:
+            prompt = self.prompt_features(z_p, S)
         ones = np.ones((B, S, 1), dtype=np.float32)
         feats = T.concat(
-            [z_t, pooled * Tensor(np.ones((B, S, 1), dtype=np.float32)),
-             Tensor(np.float32(t) * ones), Tensor(ones)], axis=-1)
+            [z_t, prompt, Tensor(np.float32(t) * ones), Tensor(ones)], axis=-1)
         raw = self.l2(T.tanh(self.l1(feats)))
         g = T.exp(T.clip(raw, -self.config.log_bound, self.config.log_bound))
         return g / T.tmean(g, axis=-1, keepdims=True)

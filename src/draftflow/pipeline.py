@@ -324,6 +324,7 @@ def cmd_eval(report: str, cfg: RunConfig) -> dict:
                 for i in range(n)]
         prov = _provenance(cfg, ["ae"])
         prov["success_rate"] = out["success_rate"]
+        prov["budget_exhausted"] = out["budget_exhausted"]
         return _write_report(cfg, report, list(rows[0]), rows, prov)
 
     prior = _load_prior(cfg)

@@ -123,7 +123,7 @@ class Tensor:
                 if g is None:
                     continue
                 # frozen leaves take no gradient at all
-                if not parent.requires_grad and parent._backward is None:
+                if not _takes_grad(parent):
                     continue
                 if g.dtype != parent.data.dtype:
                     g = g.astype(parent.data.dtype)
@@ -182,6 +182,12 @@ class Tensor:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _takes_grad(t: Tensor) -> bool:
+    """Whether `Tensor.backward` delivers a gradient to parent `t`; a frozen
+    leaf takes none, so a backward closure need not compute one for it."""
+    return t.requires_grad or t._backward is not None
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward: Callable) -> Tensor:
@@ -450,30 +456,38 @@ def affine(x, w, b):
         n = w.data.shape[-1]
         k = x.data.shape[-1]
         g2 = g.reshape(-1, n)
-        gx = (g2 @ w.data.T).reshape(x.data.shape)
-        gw = x.data.reshape(-1, k).T @ g2
-        gb = g2.sum(axis=0)
+        gx = (g2 @ w.data.T).reshape(x.data.shape) if _takes_grad(x) else None
+        gw = x.data.reshape(-1, k).T @ g2 if _takes_grad(w) else None
+        gb = g2.sum(axis=0) if _takes_grad(b) else None
         return (gx, gw, gb)
 
     return _node(data, (x, w, b), backward)
 
 
 def attention_core(q, k, v, scale: float):
-    """softmax(q @ k^T * scale) @ v in one node (heads in leading dims)."""
+    """softmax(q @ k^T * scale) @ v in one node (heads in leading dims).
+
+    The scores are held key-major, (..., T, S) for S queries and T keys, so
+    the softmax max and sum reduce over axis -2: numpy runs those as long
+    vector ops instead of one short loop per query row. Results match the
+    query-major form to float32 rounding, not bit for bit.
+    """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    scores = (q.data @ np.swapaxes(k.data, -1, -2)) * q.data.dtype.type(scale)
-    scores -= scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores)
-    attn = e / e.sum(axis=-1, keepdims=True)
-    data = attn @ v.data
+    attn_t = k.data @ np.swapaxes(q.data, -1, -2)
+    attn_t *= attn_t.dtype.type(scale)
+    attn_t -= attn_t.max(axis=-2, keepdims=True)
+    np.exp(attn_t, out=attn_t)
+    attn_t /= attn_t.sum(axis=-2, keepdims=True)
+    data = np.swapaxes(attn_t, -1, -2) @ v.data
 
     def backward(g):
-        gv = np.swapaxes(attn, -1, -2) @ g
-        g_attn = g @ np.swapaxes(v.data, -1, -2)
-        g_scores = attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True))
-        g_scores *= g_scores.dtype.type(scale)
-        gq = g_scores @ k.data
-        gk = np.swapaxes(g_scores, -1, -2) @ q.data
+        gv = attn_t @ g
+        g_st = v.data @ np.swapaxes(g, -1, -2)
+        g_st -= (g_st * attn_t).sum(axis=-2, keepdims=True)
+        g_st *= attn_t
+        g_st *= g_st.dtype.type(scale)
+        gq = np.swapaxes(g_st, -1, -2) @ k.data
+        gk = g_st @ q.data
         return (gq, gk, gv)
 
     return _node(data, (q, k, v), backward)
@@ -556,15 +570,19 @@ def layer_norm(x, gamma=None, beta=None, eps: float = 1e-5):
         parents.append(beta)
 
     def backward(g):
-        dxhat = g * gamma.data if has_gamma else g
-        m1 = dxhat.sum(axis=-1, keepdims=True) / n
-        m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
-        dx = inv * (dxhat - m1 - xhat * m2)
+        dx = None
+        if _takes_grad(x):
+            dxhat = g * gamma.data if has_gamma else g
+            m1 = dxhat.sum(axis=-1, keepdims=True) / n
+            m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
+            dx = inv * (dxhat - m1 - xhat * m2)
         grads = [dx]
         if has_gamma:
-            grads.append(_unbroadcast(g * xhat, gamma.data.shape))
+            grads.append(_unbroadcast(g * xhat, gamma.data.shape)
+                         if _takes_grad(gamma) else None)
         if has_beta:
-            grads.append(_unbroadcast(g, beta.data.shape))
+            grads.append(_unbroadcast(g, beta.data.shape)
+                         if _takes_grad(beta) else None)
         return grads
 
     return _node(data, tuple(parents), backward)

@@ -185,6 +185,81 @@ def test_probe_respects_cosine_floor(toy_ae):
     assert (out["steps_used"] <= 12).all()
 
 
+def _probe_reference(model, z_full_real, ids, mask, cosine_floor,
+                     step_budget, step_scale=0.05, target_ratio=0.5):
+    """The probe decoding every row twice per step: a gradient pass and a
+    separate no-grad scoring pass, until the slowest row finishes."""
+    z_real = np.asarray(z_full_real, dtype=np.float32)
+    m = model.config.m
+    B = z_real.shape[0]
+    S, d = z_real.shape[1] - m, z_real.shape[2]
+    z_p = z_real[:, :m, :]
+    z_s = z_real[:, m:, :].reshape(B, S * d).astype(np.float64)
+    ref_unit = z_s / np.linalg.norm(z_s, axis=1, keepdims=True)
+    base_pt = D.recoverability(model, z_real, ids, mask,
+                               per_example=True)["p_target_per_example"]
+    goal = target_ratio * base_pt
+    w = mask[:, m:].astype(np.float32)
+    denom = np.maximum(w.sum(axis=1), 1.0)
+    step_len = step_scale * np.linalg.norm(z_s, axis=1, keepdims=True)
+    z_adv = z_s.copy()
+    done = np.zeros(B, dtype=bool)
+    steps_used = np.zeros(B, dtype=np.int64)
+    for step in range(step_budget):
+        if done.all():
+            break
+        zt = Tensor(z_adv.reshape(B, S, d).astype(np.float32),
+                    requires_grad=True)
+        logits = model.decode_array(T.concat([Tensor(z_p), zt], axis=1))
+        true_lp = T.gather_last(T.log_softmax(logits, axis=-1), ids)[:, m:]
+        ce_per = T.tsum(true_lp * Tensor(-w), axis=1) / Tensor(denom)
+        T.tsum(ce_per * Tensor((~done).astype(np.float32))).backward()
+        g = zt.grad.reshape(B, S * d).astype(np.float64)
+        gn = np.linalg.norm(g, axis=1, keepdims=True)
+        g = np.where(gn > 0, g / np.maximum(gn, 1e-24), 0.0)
+        proposal = D._project_to_cone(z_adv + step_len * g, ref_unit,
+                                      cosine_floor)
+        z_adv = np.where(done[:, None], z_adv, proposal)
+        steps_used[~done] = step + 1
+        with T.no_grad():
+            now = D.recoverability(
+                model, np.concatenate(
+                    [z_p, z_adv.reshape(B, S, d).astype(np.float32)], axis=1),
+                ids, mask, per_example=True)
+        done = done | (now["p_target_per_example"] <= goal)
+    final = D.recoverability(
+        model, np.concatenate(
+            [z_p, z_adv.reshape(B, S, d).astype(np.float32)], axis=1),
+        ids, mask, per_example=True)["p_target_per_example"]
+    succ = final <= goal
+    return {"cosine": D._cosine_rows(z_adv, z_s), "p_target": final,
+            "success": succ, "steps_used": steps_used,
+            "budget_exhausted": bool((~succ).any())}
+
+
+@pytest.mark.parametrize("seed,ratio", [(0, 0.5), (3, 0.7)])
+def test_probe_matches_two_pass_reference(toy_ae, monkeypatch, seed, ratio):
+    ids, mask = _ids_mask(B=8, seed=seed)
+    with T.no_grad():
+        z_real = toy_ae.encode_array(ids).data
+    kw = dict(cosine_floor=0.95, step_budget=40, target_ratio=ratio)
+    ref = _probe_reference(toy_ae, z_real, ids, mask, **kw)
+    rows = []
+    decode = toy_ae.decode_array
+    monkeypatch.setattr(toy_ae, "decode_array",
+                        lambda z: rows.append(len(z.data)) or decode(z))
+    out = D.dissociation_probe(toy_ae, z_real, ids, mask, **kw)
+    # a mix of early successes and spent budgets makes the check bite
+    assert 0 < out["success"].sum() and (out["steps_used"] < 40).any()
+    assert np.array_equal(out["steps_used"], ref["steps_used"])
+    assert np.array_equal(out["success"], ref["success"])
+    assert out["budget_exhausted"] == ref["budget_exhausted"]
+    np.testing.assert_allclose(out["p_target"], ref["p_target"], atol=1e-6)
+    np.testing.assert_allclose(out["cosine"], ref["cosine"], atol=1e-6)
+    # base pass + one pass per step taken + a scoring pass per row
+    assert sum(rows) <= 8 + out["steps_used"].sum() + 8
+
+
 def test_probe_floor_validation(toy_ae):
     ids, mask = _ids_mask(B=1)
     with pytest.raises(ValueError, match="cosine_floor"):

@@ -500,6 +500,17 @@ def test_refine_zero_steps_is_start():
     assert np.array_equal(out, z)
 
 
+def test_refine_zero_steps_reads_no_prompt_context(monkeypatch):
+    bundle = F.make_bundle("raw", 8, 4, 8, 24)
+
+    def no_context(self, z_p):
+        raise AssertionError("a 0-step refine computed the prompt context")
+
+    monkeypatch.setattr(F.FlowNet, "context", no_context)
+    z = _g((5, 8, 8), 78)
+    assert np.array_equal(F.refine(bundle, z, steps=0), z)
+
+
 def test_report_csv_roundtrip(tmp_path):
     ae, prior, corpus = _tiny_stage2_setup()
     cfg = F.Stage2Config(steps=3, batch_size=8, val_count=40)
@@ -570,6 +581,8 @@ def test_refine_matches_per_step_context_reference(ae32, prior32, stage2,
     for bundle in bundles.values():
         net, metric = bundle.flownet, bundle.metric
 
+        # recomputes the flow context and the metric's prompt features at
+        # every step, where refine computes them once per integration
         def v_ref(z, t):
             f = net(T.as_tensor(z), t, net.context(z_p))
             if metric is None:

@@ -218,6 +218,28 @@ def test_report_rerun_matches_numerically(tiny):
                 assert ra[key] == rb[key], key
 
 
+def test_stage2_matrix_reports_ot_solver_status(tiny):
+    P.cmd_eval("stage2_matrix", tiny["cfg"])
+    payload = json.loads(
+        (tiny["root"] / "full" / "report_stage2_matrix.json").read_text())
+    assert {"ot_converged", "ot_iters"} <= set(payload["columns"])
+    for row in payload["rows"]:
+        assert row["ot_converged"] in (0, 1)
+        assert 1 <= row["ot_iters"] <= 200
+        # the solve is capped at 200 iterations
+        assert row["ot_converged"] == int(row["ot_iters"] < 200), row
+
+
+def test_dissociation_provenance_carries_budget_exhausted(tiny):
+    P.cmd_eval("dissociation", tiny["cfg"])
+    payload = json.loads(
+        (tiny["root"] / "full" / "report_dissociation.json").read_text())
+    success = [row["success"] for row in payload["rows"]]
+    prov = payload["provenance"]
+    assert prov["budget_exhausted"] is (not all(success))
+    assert prov["success_rate"] == pytest.approx(np.mean(success))
+
+
 def test_interpolation_rows_span_the_segment(tiny):
     payload = json.loads(
         (tiny["root"] / "full" / "report_interpolation.json").read_text())

@@ -294,3 +294,75 @@ def test_float32_preserved_through_ops():
     assert y.data.dtype == np.float32
     z = T.layer_norm(y)
     assert z.data.dtype == np.float32
+
+
+def _attention_query_major(q, k, v, scale, g):
+    """softmax(q k^T * scale) v and its input gradients for upstream `g`,
+    with the scores held query-major (..., S, T)."""
+    sw = lambda a: np.swapaxes(a, -1, -2)  # noqa: E731
+    scores = (q @ sw(k)) * np.float32(scale)
+    scores -= scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores)
+    attn = e / e.sum(axis=-1, keepdims=True)
+    g_attn = g @ sw(v)
+    g_scores = attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True))
+    g_scores *= np.float32(scale)
+    return attn @ v, g_scores @ k, sw(g_scores) @ q, sw(attn) @ g
+
+
+@pytest.mark.parametrize("S,Tk", [(8, 16), (24, 32), (16, 32)])
+def test_attention_core_matches_query_major_reference(S, Tk):
+    rng = np.random.default_rng(120 + Tk)
+    q, k, v = (_rand(rng, 3, 4, S, 8), _rand(rng, 3, 4, Tk, 8),
+               _rand(rng, 3, 4, Tk, 8))
+    g = _rand(rng, 3, 4, S, 8)
+    ts = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+    out = T.attention_core(*ts, 0.35)
+    T.tsum(out * Tensor(g)).backward()
+    ref = _attention_query_major(q, k, v, 0.35, g)
+    for name, got, want in zip(("out", "gq", "gk", "gv"),
+                               [out.data] + [t.grad for t in ts], ref):
+        assert got.dtype == np.float32
+        # float32 rounding only: the sum orders differ between layouts
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6,
+                                   err_msg=name)
+
+
+def test_affine_backward_skips_frozen_parents():
+    rng = np.random.default_rng(130)
+    x, w, b, g = (_rand(rng, 2, 5, 4), _rand(rng, 4, 3), _rand(rng, 3),
+                  _rand(rng, 2, 5, 3))
+    g2 = g.reshape(-1, 3)
+    want_gx = (g2 @ w.T).reshape(x.shape)
+    want_gw = x.reshape(-1, 4).T @ g2
+    want_gb = g2.sum(axis=0)
+
+    # frozen weight and bias: only the input takes a gradient
+    gx, gw, gb = T.affine(_p(x), Tensor(w), Tensor(b))._backward(g)
+    assert gw is None and gb is None
+    assert gx.tobytes() == want_gx.tobytes()
+    # constant input: only the weight and bias do
+    gx, gw, gb = T.affine(Tensor(x), _p(w), _p(b))._backward(g)
+    assert gx is None
+    assert gw.tobytes() == want_gw.tobytes()
+    assert gb.tobytes() == want_gb.tobytes()
+    # an input computed on the tape takes one even when not a leaf
+    xi = T.tanh(_p(x))
+    gx, _, _ = T.affine(xi, Tensor(w), Tensor(b))._backward(g)
+    assert gx.tobytes() == want_gx.tobytes()
+
+
+def test_layer_norm_backward_skips_frozen_gain_and_offset():
+    rng = np.random.default_rng(131)
+    x, gamma, beta, g = (_rand(rng, 3, 6), _rand(rng, 6), _rand(rng, 6),
+                         _rand(rng, 3, 6))
+    dx, dgamma, dbeta = T.layer_norm(_p(x), _p(gamma), _p(beta))._backward(g)
+    fx, fgamma, fbeta = T.layer_norm(_p(x), Tensor(gamma),
+                                     Tensor(beta))._backward(g)
+    assert fgamma is None and fbeta is None
+    assert fx.tobytes() == dx.tobytes()
+    cx, cgamma, cbeta = T.layer_norm(Tensor(x), _p(gamma),
+                                     _p(beta))._backward(g)
+    assert cx is None
+    assert cgamma.tobytes() == dgamma.tobytes()
+    assert cbeta.tobytes() == dbeta.tobytes()
