@@ -31,9 +31,31 @@ class AEConfig:
     m: int = 16
     n: int = 32
     n_heads: int = 8
-    enc_layers: int = 2
-    dec_layers: int = 2
     seed: int = 1337
+
+
+# encoder and decoder depth: part of the architecture, not tunables
+ENC_LAYERS = 2
+DEC_LAYERS = 2
+
+
+def masked_ce(logits: Tensor, ids: np.ndarray, w: np.ndarray) -> Tensor:
+    """Token CE of `ids` under `logits`, weighted by `w`, over `w.sum()`.
+
+    The one training-side decoder readout: stage 1, DraftPrior and both
+    fused stage-2 terms take their CE from here.
+    """
+    true_lp = T.gather_last(T.log_softmax(logits, axis=-1), ids)
+    return T.tsum(true_lp * Tensor(-w)) / float(w.sum())
+
+
+def suffix_weights(mask: np.ndarray, m: int) -> np.ndarray:
+    """float32 weights of the real suffix slots, prompt slots zeroed."""
+    w = np.zeros(mask.shape, dtype=np.float32)
+    w[:, m:] = mask[:, m:]
+    if w.sum() == 0:
+        raise ValueError("loss needs at least one real suffix position")
+    return w
 
 
 def batchify(examples: list, m: int, n: int):
@@ -56,7 +78,7 @@ class Autoencoder:
         self.enc_pos = s.add("enc.pos", (c.n, c.h), scale=0.02)
         self.enc_layers = [
             nn.TransformerLayer(s, f"enc.layer{i}", c.h, c.n_heads, 4 * c.h)
-            for i in range(c.enc_layers)]
+            for i in range(ENC_LAYERS)]
         self.enc_ln = nn.LayerNorm(s, "enc.ln_out", c.h)
         self.proj = nn.Linear(s, "enc.proj", c.h, c.d)
         # decoder blocks run at latent width d with feed-forward hidden 4h,
@@ -64,7 +86,7 @@ class Autoencoder:
         self.dec_pos = s.add("dec.pos", (c.n, c.d), scale=0.02)
         self.dec_layers = [
             nn.TransformerLayer(s, f"dec.layer{i}", c.d, c.n_heads, 4 * c.h)
-            for i in range(c.dec_layers)]
+            for i in range(DEC_LAYERS)]
         self.dec_ln = nn.LayerNorm(s, "dec.ln_out", c.d)
         self.head = nn.Linear(s, "dec.head", c.d, c.vocab_size)
         self.frozen = False
@@ -102,10 +124,7 @@ class Autoencoder:
         if not mask.any():
             raise ValueError("ae loss needs at least one real position")
         logits = self.decode_array(self.encode_array(ids))
-        logp = T.log_softmax(logits, axis=-1)
-        true_lp = T.gather_last(logp, ids)
-        w = mask.astype(np.float32)
-        return T.tsum(true_lp * Tensor(-w)) / float(w.sum())
+        return masked_ce(logits, ids, mask.astype(np.float32))
 
     def encode_all(self, ids: np.ndarray) -> np.ndarray:
         """No-grad latents of a whole (N, n) id array, in chunks of 256 rows."""
@@ -171,10 +190,8 @@ def oracle_eval(model: Autoencoder, examples: list) -> diagnostics.DiagnosticRep
     """
     ids, mask = batchify(examples, model.config.m, model.config.n)
     with no_grad():
-        z = model.encode_array(ids)
-        rec = diagnostics.recoverability(model, z.data, ids, mask)
-        decoded = model.decode_array(z.data).data.argmax(axis=-1)
-    suffix_tokens = [list(row) for row in decoded[:, model.config.m:]]
-    surf = diagnostics.surface_metrics(suffix_tokens)
+        z = model.encode_array(ids).data
+    _, tokens, rec = diagnostics.readout(model, z, ids, mask)
+    surf = diagnostics.surface_metrics([list(row) for row in tokens])
     return diagnostics.DiagnosticReport(
         ce=rec["ce"], p_target=rec["p_target"], top1=rec["top1"], **surf)

@@ -6,6 +6,8 @@ adversarial probe separating geometric similarity from decodability, surface
 statistics of decoded text, and the steps-versus-latency sweep.
 
 All recoverability metrics are computed only over mask-true suffix positions.
+`readout` is the one no-grad decode of a latent batch: scores, argmax tokens
+and token probabilities all come from its single decoder pass.
 """
 
 from __future__ import annotations
@@ -56,20 +58,37 @@ DEFAULT_INTERP_ALPHAS = [0.0, 0.01, 0.03, 0.05, 0.10, 0.20, 0.50, 1.0]
 # -- core recoverability ----------------------------------------------------
 
 
-def _suffix_stats(model, z_full, ids, mask):
-    """Per-position true-token log-probs/probs/hits over suffix real slots."""
-    ids = np.atleast_2d(np.asarray(ids))
-    mask = np.atleast_2d(np.asarray(mask))
+def readout(model, z_full, ids=None, mask=None, per_example: bool = False):
+    """The one no-grad decoder readout of (B, n, d) latents.
+
+    Decodes once and returns (logp, tokens, rec): the suffix log-probs
+    (B, n - m, V), their argmax tokens, and, given ids and mask, the
+    `recoverability` dict over the mask-true suffix slots (else None).
+    """
     m = model.config.m
-    smask = mask[:, m:]
-    if not smask.any():
-        raise ValueError("no real suffix positions under the mask")
+    if ids is not None:
+        ids = np.atleast_2d(np.asarray(ids))
+        mask = np.atleast_2d(np.asarray(mask))
+        if not mask[:, m:].any():
+            raise ValueError("no real suffix positions under the mask")
     with no_grad():
-        logits = model.decode_array(z_full)
-    logp = T.log_softmax(logits, axis=-1).data[:, m:, :]
+        logp = T.log_softmax(model.decode_array(z_full), axis=-1).data[:, m:, :]
+    tokens = logp.argmax(axis=-1)
+    if ids is None:
+        return logp, tokens, None
     true_lp = np.take_along_axis(logp, ids[:, m:, None], axis=-1)[..., 0]
-    hits = logp.argmax(axis=-1) == ids[:, m:]
-    return true_lp, hits, smask, logp
+    w = mask[:, m:].astype(np.float64)
+    n = w.sum()
+    rec = {
+        "ce": float(-(true_lp * w).sum() / n),
+        "p_target": float((np.exp(true_lp.astype(np.float64)) * w).sum() / n),
+        "top1": float(((tokens == ids[:, m:]) * w).sum() / n),
+    }
+    if per_example:
+        per_n = np.maximum(w.sum(axis=1), 1.0)
+        rec["ce_per_example"] = -(true_lp * w).sum(axis=1) / per_n
+        rec["p_target_per_example"] = _p_target_rows(true_lp, w)
+    return logp, tokens, rec
 
 
 def _p_target_rows(true_lp: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -80,19 +99,7 @@ def _p_target_rows(true_lp: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def recoverability(model, z_full, ids, mask, per_example: bool = False):
     """CE, mean target-token probability, and top-1 over suffix real slots."""
-    true_lp, hits, smask, _ = _suffix_stats(model, z_full, ids, mask)
-    w = smask.astype(np.float64)
-    n = w.sum()
-    out = {
-        "ce": float(-(true_lp * w).sum() / n),
-        "p_target": float((np.exp(true_lp.astype(np.float64)) * w).sum() / n),
-        "top1": float((hits * w).sum() / n),
-    }
-    if per_example:
-        per_n = np.maximum(w.sum(axis=1), 1.0)
-        out["ce_per_example"] = -(true_lp * w).sum(axis=1) / per_n
-        out["p_target_per_example"] = _p_target_rows(true_lp, w)
-    return out
+    return readout(model, z_full, ids, mask, per_example)[2]
 
 
 # -- interpolation ----------------------------------------------------------
@@ -316,17 +323,13 @@ def quality_speed_sweep(infer_one, model, ids, mask, steps_list) -> list:
         for i in range(B):
             t0 = time.perf_counter()
             z_full = infer_one(i, steps)
-            with no_grad():
-                logits = model.decode_array(z_full)
-                tokens = logits.data.argmax(axis=-1)
+            readout(model, z_full)  # serial latency covers the decode
             times.append(time.perf_counter() - t0)
             latents.append(np.asarray(z_full.data if isinstance(z_full, Tensor)
                                       else z_full))
-        z_all = np.concatenate(latents, axis=0)
-        rec = recoverability(model, z_all, ids, mask)
-        with no_grad():
-            decoded = model.decode_array(z_all).data.argmax(axis=-1)[:, m:]
-        surf = surface_metrics([list(row) for row in decoded])
+        _, tokens, rec = readout(model, np.concatenate(latents, axis=0),
+                                 ids, mask)
+        surf = surface_metrics([list(row) for row in tokens])
         latency = float(np.median(times))
         report = DiagnosticReport(
             ce=rec["ce"], p_target=rec["p_target"], top1=rec["top1"],

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import diagnostics, nn
 from . import tensor as T
-from .autoencoder import Autoencoder, batchify
+from .autoencoder import Autoencoder, batchify, masked_ce, suffix_weights
 from .corpus import CorruptionSpec, StoryExample, corrupt_draft, pad_to_slots
 from .tensor import Tensor, no_grad
 
@@ -35,10 +35,13 @@ class DraftPriorConfig:
     n: int = 32
     h: int = 64
     n_heads: int = 8
-    n_layers: int = 4
     alpha: float = 0.7
     sample_alpha: bool = False  # alpha ~ U(0.5, 0.9) per example instead of fixed
     seed: int = 2337
+
+
+# layer count: part of the architecture, not a tunable
+N_LAYERS = 4
 
 
 @dataclass(frozen=True)
@@ -52,9 +55,6 @@ class DraftPrior:
     """Residual corrector: z_start = z_t + f(z_t, prompt latents, alpha)."""
 
     def __init__(self, config: DraftPriorConfig):
-        # layer count is part of the contract, not a tunable
-        if config.n_layers != 4:
-            raise ValueError("prior uses exactly 4 layers")
         self.config = config
         self.store = nn.ParamStore(rng_seed=config.seed)
         s, c = self.store, config
@@ -67,7 +67,7 @@ class DraftPrior:
         self.layers = [
             nn.TransformerLayer(s, f"dp.layer{i}", c.h, c.n_heads, 4 * c.h,
                                 cross=True)
-            for i in range(c.n_layers)]
+            for i in range(N_LAYERS)]
         self.ln_out = nn.LayerNorm(s, "dp.ln_out", c.h)
         # zero-init residual head: identity map until training moves it
         self.out_proj = nn.Linear(s, "dp.out", c.h, c.d, zero_init=True)
@@ -103,16 +103,9 @@ def draftprior_loss(ae: Autoencoder, z_start: Tensor, z_s: np.ndarray,
     m = ae.config.m
     if z_start.shape != z_s.shape:
         raise ValueError("z_start / z_s shape mismatch")
+    w = suffix_weights(mask, m)
     z_full = T.concat([Tensor(np.asarray(z_p, dtype=np.float32)), z_start], axis=-2)
-    logits = ae.decode_array(z_full)
-    logp = T.log_softmax(logits, axis=-1)
-    true_lp = T.gather_last(logp, ids)
-    w = mask[:, m:].astype(np.float32)
-    if w.sum() == 0:
-        raise ValueError("loss needs at least one real suffix position")
-    wfull = np.zeros(mask.shape, dtype=np.float32)
-    wfull[:, m:] = w
-    ce = T.tsum(true_lp * Tensor(-wfull)) / float(w.sum())
+    ce = masked_ce(ae.decode_array(z_full), ids, w)
 
     B = z_start.shape[0]
     u = z_start.reshape((B, -1))

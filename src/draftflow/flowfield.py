@@ -17,7 +17,7 @@ import numpy as np
 
 from . import alignment, diagnostics, nn
 from . import tensor as T
-from .autoencoder import Autoencoder, batchify
+from .autoencoder import Autoencoder, batchify, masked_ce, suffix_weights
 from .draftprior import DraftPrior, start_latents
 from .metricnet import IDENTITY_STATS, MetricConfig, MetricNet, metric_reg, \
     metric_stats
@@ -41,18 +41,18 @@ class FlowConfig:
     n: int = 32
     h: int = 64
     n_heads: int = 8
-    depth: int = 5
     conv_kernel: int = 5
     seed: int = 5521
+
+
+# layer count: part of the architecture, not a tunable
+DEPTH = 5
 
 
 class FlowNet:
     """Per-slot force field conditioned on time and prompt latents."""
 
     def __init__(self, config: FlowConfig):
-        # depth is part of the contract, not a tunable
-        if config.depth != 5:
-            raise ValueError("force field uses exactly 5 layers")
         self.config = config
         self.store = nn.ParamStore(rng_seed=config.seed)
         s, c = self.store, config
@@ -63,13 +63,13 @@ class FlowNet:
         self.ctx_pos = nn.positional_table(s, "flow.ctx_pos", c.m, c.h)
         self.convs = [
             nn.DepthwiseConv1d(s, f"flow.conv{i}", c.h, k=c.conv_kernel)
-            for i in range(c.depth)]
+            for i in range(DEPTH)]
         self.conv_lns = [
-            nn.LayerNorm(s, f"flow.conv_ln{i}", c.h) for i in range(c.depth)]
+            nn.LayerNorm(s, f"flow.conv_ln{i}", c.h) for i in range(DEPTH)]
         self.blocks = [
             nn.TransformerLayer(s, f"flow.layer{i}", c.h, c.n_heads, 4 * c.h,
                                 cross=True)
-            for i in range(c.depth)]
+            for i in range(DEPTH)]
         self.ln_out = nn.LayerNorm(s, "flow.ln_out", c.h)
         self.out_proj = nn.Linear(s, "flow.out", c.h, c.d, zero_init=True)
 
@@ -207,13 +207,10 @@ def integrate(velocity_fn, z_start, steps: int, gamma: float = 0.01) -> list:
 @dataclass
 class RefinerConfig:
     d: int
-    hidden: int = 0  # 0 means 4d
     lam: float = 0.1
     seed: int = 6633
 
     def __post_init__(self):
-        if self.hidden == 0:
-            self.hidden = 4 * self.d
         if not (np.isfinite(self.lam) and self.lam > 0):
             raise ValueError("lam must be finite and positive")
 
@@ -225,9 +222,8 @@ class ResidualRefiner:
         self.config = config
         self.store = nn.ParamStore(rng_seed=config.seed)
         d = config.d
-        self.l1 = nn.Linear(self.store, "refiner.l1", 2 * d, config.hidden)
-        self.l2 = nn.Linear(self.store, "refiner.l2", config.hidden, d,
-                            zero_init=True)
+        self.l1 = nn.Linear(self.store, "refiner.l1", 2 * d, 4 * d)
+        self.l2 = nn.Linear(self.store, "refiner.l2", 4 * d, d, zero_init=True)
 
     def __call__(self, z_ode: Tensor, z_p: Tensor) -> Tensor:
         B, S, d = z_ode.shape
@@ -253,12 +249,6 @@ class AuxHead:
         return self.proj(z)
 
 
-def _suffix_ce(logits: Tensor, ids: np.ndarray, w: np.ndarray) -> Tensor:
-    logp = T.log_softmax(logits, axis=-1)
-    true_lp = T.gather_last(logp, ids)
-    return T.tsum(true_lp * Tensor(-w)) / float(w.sum())
-
-
 def fused_loss(ae: Autoencoder, aux: AuxHead, z_full: Tensor, z_mid: Tensor,
                ids: np.ndarray, mask: np.ndarray, beta: float = 0.1):
     """Frozen-decoder CE on the final latent + beta x aux CE mid-trajectory.
@@ -268,12 +258,9 @@ def fused_loss(ae: Autoencoder, aux: AuxHead, z_full: Tensor, z_mid: Tensor,
     if beta < 0:
         raise ValueError("beta must be non-negative")
     m = ae.config.m
-    w = np.zeros(mask.shape, dtype=np.float32)
-    w[:, m:] = mask[:, m:]
-    if w.sum() == 0:
-        raise ValueError("loss needs at least one real suffix position")
-    ce_dec = _suffix_ce(ae.decode_array(z_full), ids, w)
-    ce_aux = _suffix_ce(aux(z_mid), ids[:, m:], w[:, m:])
+    w = suffix_weights(mask, m)
+    ce_dec = masked_ce(ae.decode_array(z_full), ids, w)
+    ce_aux = masked_ce(aux(z_mid), ids[:, m:], w[:, m:])
     total = ce_dec + Tensor(np.float32(beta)) * ce_aux
     return total, {"ce_dec": float(ce_dec.data), "ce_aux": float(ce_aux.data)}
 
@@ -463,13 +450,16 @@ def train_stage2(ae: Autoencoder, prior: DraftPrior, corpus: list,
             z_mid = traj[cfg.train_steps_ode // 2]
             return fused_loss(ae, bundle.aux, z_full_t, z_mid,
                               ids_real[idx], mask_real[idx], cfg.beta)
-        sample = FlowSample(
-            Tensor(sample_flow_state(z_start, z_s, t).z_t.data), t,
-            Tensor(local_target(z_s, z_start, cfg.rho)))
-        loss = force_matching_loss(flownet, bundle.metric, sample, z_p)
+        # the field regresses the local target, not the path velocity
+        sample = sample_flow_state(z_start, z_s, t)
+        sample.u_t = Tensor(local_target(z_s, z_start, cfg.rho))
+        if variant == "metric_ot":
+            # one metric evaluation weights the target and feeds metric_reg
+            g = bundle.metric.metric_diag(sample.z_t, t, z_p)
+            sample.u_t = g * sample.u_t
+        loss = force_matching_loss(flownet, None, sample, z_p)
         parts = {"force": float(loss.data)}
         if variant == "metric_ot":
-            g = bundle.metric.metric_diag(sample.z_t, t, z_p)
             reg = metric_reg(g)
             loss = loss + Tensor(np.float32(cfg.metric_weight)) * reg
             traj = integrate(bundle.velocity_fn(z_p), Tensor(z_start),

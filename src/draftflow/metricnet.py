@@ -22,13 +22,10 @@ from .tensor import Tensor
 @dataclass
 class MetricConfig:
     d: int
-    hidden: int = 0  # 0 means 4d
     log_bound: float = 0.5
     seed: int = 4411
 
     def __post_init__(self):
-        if self.hidden == 0:
-            self.hidden = 4 * self.d
         if self.log_bound <= 0:
             raise ValueError("log_bound must be positive")
 
@@ -40,10 +37,9 @@ class MetricNet:
         self.config = config
         self.store = nn.ParamStore(rng_seed=config.seed)
         d = config.d
-        self.l1 = nn.Linear(self.store, "metric.l1", 2 * d + 2, config.hidden)
+        self.l1 = nn.Linear(self.store, "metric.l1", 2 * d + 2, 4 * d)
         # zero-init second layer: the metric starts as the exact identity
-        self.l2 = nn.Linear(self.store, "metric.l2", config.hidden, d,
-                            zero_init=True)
+        self.l2 = nn.Linear(self.store, "metric.l2", 4 * d, d, zero_init=True)
 
     def prompt_features(self, z_p, S: int) -> Tensor:
         """Mean-pooled (B, m, d) prompt broadcast over S suffix slots.

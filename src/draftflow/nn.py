@@ -132,10 +132,6 @@ class ParamStore:
         for t in self._entries.values():
             t.requires_grad = False
 
-    def unfreeze(self):
-        for t in self._entries.values():
-            t.requires_grad = True
-
     def checksum(self) -> str:
         """SHA-256 over names and raw little-endian float32 bytes, in order."""
         h = hashlib.sha256()

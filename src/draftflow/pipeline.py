@@ -21,7 +21,6 @@ from . import diagnostics as D
 from . import draftprior as DP
 from . import flowfield as FF
 from . import nn
-from . import tensor as T
 from .autoencoder import AEConfig, Autoencoder, StageOneTrainConfig, \
     batchify, train_stage1
 from .config import ConfigError, RunConfig, parse_floats, parse_ints, \
@@ -55,7 +54,9 @@ def _grammar_vocab():
     return grammar, grammar.vocabulary()
 
 
-def _train_corpus(cfg: RunConfig) -> list:
+def _train_corpus(cfg: RunConfig) -> tuple[list, int]:
+    """Training examples and the count of over-budget source lines skipped
+    (0 for a generated corpus)."""
     source = cfg["corpus"]["source"]
     seed = cfg["run"]["seed"]
     if source:
@@ -63,17 +64,16 @@ def _train_corpus(cfg: RunConfig) -> list:
         if not path.exists():
             raise ConfigError(f"corpus source not found: {path}")
         _, vocab = _grammar_vocab()
-        examples, _ = C.ingest_text_corpus(
+        return C.ingest_text_corpus(
             path, vocab, max_prompt_tokens=cfg["dims"]["m"],
             max_target_tokens=cfg["dims"]["n"] - cfg["dims"]["m"])
-        return examples
-    return C.generate_corpus(seed=seed, count=cfg["corpus"]["train_count"])
+    return C.generate_corpus(seed=seed, count=cfg["corpus"]["train_count"]), 0
 
 
 def _val_corpus(cfg: RunConfig) -> list:
     source = cfg["corpus"]["source"]
     if source:
-        examples = _train_corpus(cfg)
+        examples, _ = _train_corpus(cfg)
         return examples[-cfg["corpus"]["val_count"]:]
     # disjoint seed stream from the training corpus
     return C.generate_corpus(seed=cfg["run"]["seed"] + 1,
@@ -81,16 +81,20 @@ def _val_corpus(cfg: RunConfig) -> list:
 
 
 def cmd_generate_corpus(cfg: RunConfig) -> dict:
-    """Write train/val prompt-target files; byte-identical per config."""
+    """Write train/val prompt-target files; byte-identical per config.
+
+    `skipped_lines` counts the over-budget lines of an external source.
+    """
     wd = _workdir(cfg)
-    train = _train_corpus(cfg)
+    train, skipped = _train_corpus(cfg)
     val = _val_corpus(cfg)
     train_path = wd / "corpus_train.tsv"
     val_path = wd / "corpus_val.tsv"
     C.write_text_corpus(train_path, train)
     C.write_text_corpus(val_path, val)
     return {"train_path": str(train_path), "val_path": str(val_path),
-            "train_count": len(train), "val_count": len(val)}
+            "train_count": len(train), "val_count": len(val),
+            "skipped_lines": skipped}
 
 
 # -- checkpoint plumbing -----------------------------------------------------
@@ -214,7 +218,7 @@ def cmd_train(stage: str, cfg: RunConfig) -> dict:
             _write_csv(wd / name, list(rows[0]), rows)
 
     if stage == "ae":
-        corpus = _train_corpus(cfg)
+        corpus, _ = _train_corpus(cfg)
         model, history = train_stage1(
             corpus,
             _section_config(AEConfig, cfg, "dims", vocab_size=vocab.size),
@@ -228,7 +232,7 @@ def cmd_train(stage: str, cfg: RunConfig) -> dict:
 
     if stage == "draftprior":
         ae = _load_ae(cfg)
-        corpus = _train_corpus(cfg)
+        corpus, _ = _train_corpus(cfg)
         s = cfg["draftprior"]
         prior, history, curve = DP.train_draftprior(
             ae, corpus,
@@ -248,7 +252,7 @@ def cmd_train(stage: str, cfg: RunConfig) -> dict:
 
     ae = _load_ae(cfg)
     prior = _load_prior(cfg)
-    corpus = _train_corpus(cfg)
+    corpus, _ = _train_corpus(cfg)
     s2cfg = _section_config(FF.Stage2Config, cfg, "stage2")
     out = {"stage": "flow", "checkpoints": {}, "hashes": {}}
     for variant in parse_names(cfg["stage2"]["variants"]):
@@ -407,6 +411,17 @@ def cmd_infer(cfg: RunConfig, prompt: str, draft: str, steps: int = 16,
         prompt=C.TokenSequence.from_tokens(prompt_ids, m),
         target=C.TokenSequence.from_tokens(draft_ids, n - m),
         raw_text=(prompt, draft))
+    ids = mask = None
+    if reference is not None:
+        ref_ids = vocab.encode(reference)
+        if len(ref_ids) + 1 > n - m:
+            raise ConfigError(f"reference has {len(ref_ids)} tokens, "
+                              f"budget is {n - m - 1}")
+        # references follow the corpus convention of a trailing EOS
+        ids, mask = batchify([C.StoryExample(
+            prompt=C.TokenSequence.from_tokens(prompt_ids, m),
+            target=C.TokenSequence.from_tokens(ref_ids + [EOS], n - m),
+            raw_text=(prompt, reference))], m, n)
 
     bundle = _load_bundle(cfg, cfg["eval"]["report_variant"]) if steps else None
     clock.append(time.perf_counter())
@@ -415,11 +430,9 @@ def cmd_infer(cfg: RunConfig, prompt: str, draft: str, steps: int = 16,
     clock.append(time.perf_counter())
     z_final = FF.refine(bundle, z_start, steps=steps) if steps else z_start
     clock.append(time.perf_counter())
-    with no_grad():
-        logits = ae.decode_array(z_final)
-        logp = T.log_softmax(logits, axis=-1).data[0, m:, :]
+    logp, tokens, rec = D.readout(ae, z_final, ids, mask)
     clock.append(time.perf_counter())
-    tokens = logp.argmax(axis=-1)
+    logp, tokens = logp[0], tokens[0]
     probs = np.exp(np.take_along_axis(logp, tokens[:, None], axis=1))[:, 0]
     cut = int(np.argmax(tokens == EOS)) if (tokens == EOS).any() else len(tokens)
     kept = [int(t) for t in tokens[:cut]]
@@ -434,21 +447,9 @@ def cmd_infer(cfg: RunConfig, prompt: str, draft: str, steps: int = 16,
         "stage_s": {stage: b - a for stage, a, b in zip(
             INFER_STAGES, clock, clock[1:])},
         "empty_draft": empty_draft,
-        "recoverability": None,
+        "recoverability": rec,
     }
     if empty_draft:
         out["note"] = ("empty draft: the start latents are noise-dominated, "
                        "treat the continuation as unconditioned")
-    if reference is not None:
-        ref_ids = vocab.encode(reference)
-        if len(ref_ids) + 1 > n - m:
-            raise ConfigError(f"reference has {len(ref_ids)} tokens, "
-                              f"budget is {n - m - 1}")
-        # references follow the corpus convention of a trailing EOS
-        ref_example = C.StoryExample(
-            prompt=C.TokenSequence.from_tokens(prompt_ids, m),
-            target=C.TokenSequence.from_tokens(ref_ids + [EOS], n - m),
-            raw_text=(prompt, reference))
-        ids, mask = batchify([ref_example], m, n)
-        out["recoverability"] = D.recoverability(ae, z_final, ids, mask)
     return out

@@ -5,8 +5,13 @@ import pytest
 
 from draftflow import autoencoder as AE
 from draftflow import corpus as C
+from draftflow import diagnostics as D
+from draftflow import draftprior as DP
+from draftflow import flowfield as F
+from draftflow import nn
 from draftflow import tensor as T
 from draftflow.gradcheck import grad_check
+from draftflow.tensor import Tensor
 
 
 def _tiny_config(vocab_size=24, d=8):
@@ -117,6 +122,68 @@ def test_ae_loss_gradcheck_small_instance():
 
     err = grad_check(loss_fn, model.store, eps=1e-3, max_entries_per_param=4)
     assert err < 1e-4, f"relative error {err:.3e}"
+
+
+def _reference_ce(logits, ids, w):
+    """The masked token CE as each training loss once spelled it out."""
+    logp = T.log_softmax(logits, axis=-1)
+    true_lp = T.gather_last(logp, ids)
+    return T.tsum(true_lp * Tensor(-w)) / float(w.sum())
+
+
+def test_training_ces_match_reference_formula():
+    model = AE.Autoencoder(_tiny_config())
+    m = model.config.m
+    rng = np.random.default_rng(7)
+    ids = rng.integers(4, 24, size=(3, 8))
+    mask = np.ones((3, 8), dtype=bool)
+    mask[0, 6:] = False
+    w_suffix = np.zeros((3, 8), dtype=np.float32)
+    w_suffix[:, m:] = mask[:, m:]
+
+    # stage 1: every real position
+    ref = _reference_ce(model.decode_array(model.encode_array(ids)), ids,
+                        mask.astype(np.float32))
+    assert float(model.loss_array(ids, mask).data) == float(ref.data)
+
+    # DraftPrior: suffix positions of [prompt; z_start]
+    z_s = T.gaussian_sample((3, 8 - m, 8), 1).data
+    z_p = T.gaussian_sample((3, m, 8), 2).data
+    z_start = Tensor(z_s + np.float32(0.1))
+    _, parts = DP.draftprior_loss(model, z_start, z_s, z_p, ids, mask)
+    ref = _reference_ce(model.decode_array(T.concat(
+        [Tensor(z_p), z_start], axis=-2)), ids, w_suffix)
+    assert parts["ce"] == float(ref.data)
+
+    # fused stage 2: decoder term, value and gradient
+    aux = F.AuxHead(nn.ParamStore(rng_seed=5), 8, 24)
+    z_mid = T.gaussian_sample((3, 8 - m, 8), 3)
+    z_np = T.gaussian_sample((3, 8, 8), 4).data
+    z_full = Tensor(z_np, requires_grad=True)
+    total, parts = F.fused_loss(model, aux, z_full, z_mid, ids, mask, beta=0.0)
+    total.backward()
+    z_ref = Tensor(z_np, requires_grad=True)
+    ref = _reference_ce(model.decode_array(z_ref), ids, w_suffix)
+    ref.backward()
+    assert parts["ce_dec"] == float(ref.data)
+    assert np.array_equal(z_full.grad, z_ref.grad)
+
+
+def test_oracle_eval_decodes_each_latent_once(monkeypatch):
+    model = AE.Autoencoder(_tiny_config())
+    examples = _tiny_corpus(count=7)
+    rows = []
+    decode = model.decode_array
+    monkeypatch.setattr(model, "decode_array",
+                        lambda z: rows.append(T.as_tensor(z).shape[0])
+                        or decode(z))
+    rep = AE.oracle_eval(model, examples)
+    assert rows == [7]
+    ids, mask = AE.batchify(examples, 4, 8)
+    with T.no_grad():
+        rec = D.recoverability(model, model.encode_array(ids).data, ids, mask)
+    assert (rep.ce, rep.p_target, rep.top1) == (
+        rec["ce"], rec["p_target"], rec["top1"])
 
 
 def test_train_stage1_rerun_identical():

@@ -310,10 +310,14 @@ def test_surface_metrics_needs_input():
 
 # -- quality/speed sweep -----------------------------------------------------
 
-def test_sweep_rows_and_latency():
+def test_sweep_rows_and_latency(monkeypatch):
     ids, mask = _ids_mask()
     model = _flat_model()
     calls = []
+    rows_decoded = []
+    decode = model.decode_array
+    monkeypatch.setattr(model, "decode_array",
+                        lambda z: rows_decoded.append(len(z)) or decode(z))
 
     def infer_one(i, steps):
         calls.append((i, steps))
@@ -329,3 +333,6 @@ def test_sweep_rows_and_latency():
         assert row["tokens_per_s"] > 0
     # one batch-1 call per example per step count
     assert calls == [(i, s) for s in (0, 2) for i in range(3)]
+    # per step count: each serial run's decode (inside its latency) and one
+    # batched readout for the quality and surface columns
+    assert sum(rows_decoded) == 2 * 2 * 3

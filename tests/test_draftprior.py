@@ -110,11 +110,6 @@ def test_predict_start_shape_checks():
                                   T.gaussian_sample((2, 4, 8), 2), 0.7)
 
 
-def test_prior_layer_count_is_fixed():
-    with pytest.raises(ValueError):
-        DP.DraftPrior(DP.DraftPriorConfig(d=8, n_layers=3))
-
-
 # -- loss --------------------------------------------------------------------
 
 def _loss_inputs(ae, seed=0):

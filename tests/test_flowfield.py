@@ -72,13 +72,6 @@ def test_flownet_zero_force_at_init():
     assert np.all(out.data == 0.0)
 
 
-def test_flownet_depth_is_fixed():
-    with pytest.raises(ValueError):
-        F.FlowNet(F.FlowConfig(d=8, depth=4))
-    with pytest.raises(ValueError):
-        F.FlowNet(F.FlowConfig(d=8, depth=6))
-
-
 def test_flownet_rejects_bad_shapes():
     net = _tiny_net()
     z, zp = _zzp()
@@ -278,8 +271,8 @@ def test_integrate_nonfinite_names_step():
 # -- bounded residual --------------------------------------------------------
 
 def test_refiner_config_validation():
-    cfg = F.RefinerConfig(d=8)
-    assert cfg.hidden == 32
+    # the hidden width is fixed at 4d
+    assert F.ResidualRefiner(F.RefinerConfig(d=8)).l1.w.shape == (16, 32)
     for lam in (0.0, -0.5, float("nan")):
         with pytest.raises(ValueError):
             F.RefinerConfig(d=8, lam=lam)

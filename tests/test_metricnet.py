@@ -68,7 +68,8 @@ def test_shape_validation():
 def test_config_validation():
     with pytest.raises(ValueError):
         M.MetricConfig(d=8, log_bound=0.0)
-    assert M.MetricConfig(d=8).hidden == 32
+    # the hidden width is fixed at 4d
+    assert M.MetricNet(M.MetricConfig(d=8)).l1.w.shape == (18, 32)
 
 
 def test_metric_reg_values():

@@ -13,6 +13,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from draftflow import autoencoder as AE
 from draftflow import checkpoint as CK
 from draftflow import cli
 from draftflow import config as CFG
@@ -84,6 +85,7 @@ def test_generate_corpus_is_byte_identical(tiny):
     cfg = tiny["cfg"]
     out = P.cmd_generate_corpus(cfg)
     assert out["train_count"] == 520 and out["val_count"] == 24
+    assert out["skipped_lines"] == 0
     train_path = tiny["root"] / "full" / "corpus_train.tsv"
     val_path = tiny["root"] / "full" / "corpus_val.tsv"
     first = (_sha(train_path), _sha(val_path))
@@ -99,6 +101,20 @@ def test_train_and_val_draw_from_disjoint_seed_streams(tiny):
                       .read_text().splitlines())
     val_lines = (tiny["root"] / "full" / "corpus_val.tsv")
     assert not train_lines & set(val_lines.read_text().splitlines())
+
+
+def test_generate_corpus_reports_skipped_source_lines(tmp_path):
+    source = tmp_path / "stories.tsv"
+    C.write_text_corpus(source, C.generate_corpus(seed=3, count=6))
+    with source.open("a", encoding="utf-8") as fh:
+        fh.write("the fox " * 10 + "\tit slept\n")  # 20-token prompt, budget 16
+    ini = tmp_path / "external.ini"
+    ini.write_text(f"[corpus]\nsource = {source}\nval_count = 2\n")
+    cfg = CFG.load_config(ini)
+    cfg.sections["paths"]["workdir"] = str(tmp_path / "out")
+    out = P.cmd_generate_corpus(cfg)
+    assert out["skipped_lines"] == 1
+    assert out["train_count"] == 6
 
 
 def test_missing_corpus_source_is_a_config_error(tiny):
@@ -248,11 +264,17 @@ def test_interpolation_rows_span_the_segment(tiny):
     assert alphas == sorted(alphas)
 
 
-def test_infer_round_trip(tiny):
+def test_infer_round_trip(tiny, monkeypatch):
     cfg = tiny["cfg"]
+    calls = []
+    decode = AE.Autoencoder.decode_array
+    monkeypatch.setattr(AE.Autoencoder, "decode_array",
+                        lambda self, z: calls.append(1) or decode(self, z))
     ex = C.generate_corpus(seed=9, count=1)[0]
     out = P.cmd_infer(cfg, ex.raw_text[0], ex.raw_text[1], steps=2,
                       reference=ex.raw_text[1])
+    # tokens, their probabilities and the reference scores share one decode
+    assert len(calls) == 1
     assert isinstance(out["continuation"], str)
     assert all(isinstance(t, int) for t in out["tokens"])
     assert len(out["token_probs"]) == len(out["tokens"])
