@@ -60,9 +60,8 @@ def suffix_weights(mask: np.ndarray, m: int) -> np.ndarray:
 
 def batchify(examples: list, m: int, n: int):
     """Stack examples into (B, n) id and mask arrays via the slot layout."""
-    ids = np.stack([pad_to_slots(ex, m, n).ids for ex in examples])
-    mask = np.stack([pad_to_slots(ex, m, n).mask for ex in examples])
-    return ids, mask
+    seqs = [pad_to_slots(ex, m, n) for ex in examples]
+    return np.stack([s.ids for s in seqs]), np.stack([s.mask for s in seqs])
 
 
 class Autoencoder:

@@ -74,7 +74,7 @@ class FlowNet:
         self.out_proj = nn.Linear(s, "flow.out", c.h, c.d, zero_init=True)
 
     def context(self, z_p: Tensor) -> list:
-        """Per-layer cross-attention (k, v) heads of the (B, m, d) prompt.
+        """Per-layer cross-attention (k, v) projections of the (B, m, d) prompt.
 
         They depend on the prompt alone, so one integration computes them
         once and passes them to every field evaluation.

@@ -140,9 +140,6 @@ class ParamStore:
             h.update(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
         return h.hexdigest()
 
-    def n_params(self) -> int:
-        return sum(t.data.size for t in self._entries.values())
-
     def state_arrays(self) -> dict:
         return {k: v.data for k, v in self._entries.items()}
 
@@ -183,32 +180,21 @@ class MultiHeadAttention:
         if dim % n_heads:
             raise ValueError(f"dim {dim} not divisible by heads {n_heads}")
         self.n_heads = n_heads
-        self.head_dim = dim // n_heads
         self.q = Linear(store, f"{name}.q", dim, dim)
         self.k = Linear(store, f"{name}.k", dim, dim)
         self.v = Linear(store, f"{name}.v", dim, dim)
         self.o = Linear(store, f"{name}.o", dim, dim)
 
-    def _split(self, x: Tensor, B: int, S: int) -> Tensor:
-        # (B, S, dim) -> (B, heads, S, head_dim)
-        return T.transpose(T.reshape(x, (B, S, self.n_heads, self.head_dim)),
-                           (0, 2, 1, 3))
-
     def kv(self, context: Tensor) -> tuple:
-        """Key and value heads of `context`; cross-attention to a context that
-        stays fixed over many calls computes them once."""
-        B, Sc, _ = context.shape
-        return (self._split(self.k(context), B, Sc),
-                self._split(self.v(context), B, Sc))
+        """Key and value projections of `context`; cross-attention to a
+        context that stays fixed over many calls computes them once."""
+        return self.k(context), self.v(context)
 
     def __call__(self, x: Tensor, kv: tuple | None = None) -> Tensor:
-        """Self-attention, or cross-attention to precomputed `kv` heads."""
-        B, S, dim = x.shape
-        q = self._split(self.q(x), B, S)
+        """Self-attention, or cross-attention to precomputed `kv`."""
+        q = self.q(x)
         k, v = self.kv(x) if kv is None else kv
-        out = T.attention_core(q, k, v, 1.0 / np.sqrt(self.head_dim))
-        out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (B, S, dim))
-        return self.o(out)
+        return self.o(T.attention_core(q, k, v, self.n_heads))
 
 
 class FeedForward:

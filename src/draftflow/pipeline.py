@@ -70,11 +70,15 @@ def _train_corpus(cfg: RunConfig) -> tuple[list, int]:
     return C.generate_corpus(seed=seed, count=cfg["corpus"]["train_count"]), 0
 
 
-def _val_corpus(cfg: RunConfig) -> list:
+def _val_corpus(cfg: RunConfig, train: list | None = None) -> list:
+    """Validation examples: the last `val_count` of an external source's
+    examples (`train`, when the caller has already ingested them), else a
+    generated corpus."""
     source = cfg["corpus"]["source"]
     if source:
-        examples, _ = _train_corpus(cfg)
-        return examples[-cfg["corpus"]["val_count"]:]
+        if train is None:
+            train, _ = _train_corpus(cfg)
+        return train[-cfg["corpus"]["val_count"]:]
     # disjoint seed stream from the training corpus
     return C.generate_corpus(seed=cfg["run"]["seed"] + 1,
                              count=cfg["corpus"]["val_count"])
@@ -87,7 +91,7 @@ def cmd_generate_corpus(cfg: RunConfig) -> dict:
     """
     wd = _workdir(cfg)
     train, skipped = _train_corpus(cfg)
-    val = _val_corpus(cfg)
+    val = _val_corpus(cfg, train)
     train_path = wd / "corpus_train.tsv"
     val_path = wd / "corpus_val.tsv"
     C.write_text_corpus(train_path, train)

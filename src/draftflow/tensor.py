@@ -321,7 +321,10 @@ def tanh(a):
     data = np.tanh(a.data)
 
     def backward(g):
-        return (g * (1.0 - data * data),)
+        d = data * data
+        np.subtract(1.0, d, out=d)
+        d *= g
+        return (d,)
 
     return _node(data, (a,), backward)
 
@@ -437,7 +440,8 @@ def matmul(a, b):
 def affine(x, w, b):
     """Fused x @ w + b for 2-D weights; bias broadcasts over leading dims."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    data = x.data @ w.data + b.data
+    data = x.data @ w.data
+    data += b.data
 
     def backward(g):
         n = w.data.shape[-1]
@@ -451,30 +455,77 @@ def affine(x, w, b):
     return _node(data, (x, w, b), backward)
 
 
-def attention_core(q, k, v, scale: float):
-    """softmax(q @ k^T * scale) @ v in one node (heads in leading dims).
+def _sum_keys(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """`a.sum(axis=-2)`, or `(a * b).sum(axis=-2)`, bit for bit: both add
+    the key rows in order, but einsum runs it as long vector adds rather
+    than one short loop per query column. With one query column the keys
+    are contiguous: numpy sums them pairwise, einsum in unrolled partial
+    sums, so that shape keeps numpy's sum."""
+    if a.shape[-1] == 1:
+        return (a if b is None else a * b).sum(axis=-2)
+    if b is None:
+        return np.einsum("...ts->...s", a)
+    return np.einsum("...ts,...ts->...s", a, b)
 
-    The scores are held key-major, (..., T, S) for S queries and T keys, so
-    the softmax max and sum reduce over axis -2: numpy runs those as long
-    vector ops instead of one short loop per query row. Results match the
-    query-major form to float32 rounding, not bit for bit.
+
+def _max_keys(a: np.ndarray) -> np.ndarray:
+    """`a.max(axis=-2, keepdims=True)` by pairwise halving; max is exact, so
+    the order of the comparisons does not change the result."""
+    m = a
+    while m.shape[-2] > 1:
+        rows = m.shape[-2]
+        half = rows // 2
+        # the first halving fills a fresh buffer, later ones reuse it
+        top = np.maximum(m[..., :half, :], m[..., half:2 * half, :],
+                         out=None if m is a else m[..., :half, :])
+        if rows % 2:
+            np.maximum(top[..., :1, :], m[..., rows - 1:, :],
+                       out=top[..., :1, :])
+        m = top
+    return a.copy() if m is a else m
+
+
+def attention_core(q, k, v, n_heads: int):
+    """Multi-head softmax(q k^T / sqrt(head_dim)) v in one node.
+
+    q: (B, S, dim) queries, k and v: (B, T, dim) keys and values, each the
+    concatenation of `n_heads` heads. Heads are split and merged as numpy
+    views inside the op, in both directions, so the tape holds one node.
+    The scores are held key-major, (B, heads, T, S), so the softmax max and
+    sum reduce over the key axis -2 as long vector ops.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    attn_t = k.data @ np.swapaxes(q.data, -1, -2)
+    B, S, dim = q.data.shape
+    Tk = k.data.shape[1]
+    hd = dim // n_heads
+    scale = 1.0 / np.sqrt(hd)
+
+    def split(a, n):
+        # (B, n, dim) -> (B, heads, n, head_dim) view
+        return a.reshape(B, n, n_heads, hd).transpose(0, 2, 1, 3)
+
+    def merge(a, n):
+        # (B, heads, n, head_dim) -> (B, n, dim) copy
+        return a.transpose(0, 2, 1, 3).reshape(B, n, dim)
+
+    q4, k4, v4 = split(q.data, S), split(k.data, Tk), split(v.data, Tk)
+    attn_t = k4 @ np.swapaxes(q4, -1, -2)
     attn_t *= attn_t.dtype.type(scale)
-    attn_t -= attn_t.max(axis=-2, keepdims=True)
+    attn_t -= _max_keys(attn_t)
     np.exp(attn_t, out=attn_t)
-    attn_t /= attn_t.sum(axis=-2, keepdims=True)
-    data = np.swapaxes(attn_t, -1, -2) @ v.data
+    attn_t /= _sum_keys(attn_t)[..., None, :]
+    data = merge(np.swapaxes(attn_t, -1, -2) @ v4, S)
 
     def backward(g):
-        gv = attn_t @ g
-        g_st = v.data @ np.swapaxes(g, -1, -2)
-        g_st -= (g_st * attn_t).sum(axis=-2, keepdims=True)
+        g4 = split(g, S)
+        gv = merge(attn_t @ g4, Tk) if _takes_grad(v) else None
+        g_st = v4 @ np.swapaxes(g4, -1, -2)
+        g_st -= _sum_keys(g_st, attn_t)[..., None, :]
         g_st *= attn_t
         g_st *= g_st.dtype.type(scale)
-        gq = np.swapaxes(g_st, -1, -2) @ k.data
-        gk = g_st @ q.data
+        gq = merge(np.swapaxes(g_st, -1, -2) @ k4, S) if _takes_grad(q) \
+            else None
+        gk = merge(g_st @ q4, Tk) if _takes_grad(k) else None
         return (gq, gk, gv)
 
     return _node(data, (q, k, v), backward)
@@ -514,17 +565,20 @@ def log_softmax(a, axis: int = -1):
 def logsumexp(a, axis: int = -1, keepdims: bool = False):
     a = as_tensor(a)
     m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
+    e = a.data - m
+    np.exp(e, out=e)
     s = e.sum(axis=axis, keepdims=True)
-    data = (np.log(s) + m)
-    sm = e / s
+    data = np.log(s)
+    data += m
     if not keepdims:
         data = np.squeeze(data, axis=axis)
 
     def backward(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        return (g * sm,)
+        sm = e / s
+        sm *= g
+        return (sm,)
 
     return _node(data, (a,), backward)
 
@@ -542,14 +596,16 @@ def layer_norm(x, gamma=None, beta=None, eps: float = 1e-5):
     xc = x.data - mu
     var = (xc * xc).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+    xhat = xc
+    xhat *= inv
     has_gamma = gamma is not None
     has_beta = beta is not None
-    data = xhat
     if has_gamma:
-        data = data * gamma.data
-    if has_beta:
-        data = data + beta.data
+        data = xhat * gamma.data
+        if has_beta:
+            data += beta.data
+    else:
+        data = xhat + beta.data if has_beta else xhat
     parents = [x]
     if has_gamma:
         parents.append(gamma)
@@ -558,15 +614,24 @@ def layer_norm(x, gamma=None, beta=None, eps: float = 1e-5):
 
     def backward(g):
         dx = None
+        scratch = None
         if _takes_grad(x):
             dxhat = g * gamma.data if has_gamma else g
             m1 = dxhat.sum(axis=-1, keepdims=True) / n
-            m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
-            dx = inv * (dxhat - m1 - xhat * m2)
+            scratch = dxhat * xhat
+            m2 = scratch.sum(axis=-1, keepdims=True) / n
+            np.multiply(xhat, m2, out=scratch)
+            dx = np.subtract(dxhat, m1, out=dxhat) if has_gamma \
+                else dxhat - m1
+            dx -= scratch
+            dx *= inv
         grads = [dx]
         if has_gamma:
-            grads.append(_unbroadcast(g * xhat, gamma.data.shape)
-                         if _takes_grad(gamma) else None)
+            if _takes_grad(gamma):
+                scratch = np.multiply(g, xhat, out=scratch)
+                grads.append(_unbroadcast(scratch, gamma.data.shape))
+            else:
+                grads.append(None)
         if has_beta:
             grads.append(_unbroadcast(g, beta.data.shape)
                          if _takes_grad(beta) else None)
@@ -615,21 +680,25 @@ def dwconv1d(x, kernel, bias=None):
     xp = np.zeros(x.data.shape[:-2] + (S + K - 1, x.data.shape[-1]),
                   dtype=x.data.dtype)
     xp[..., half:half + S, :] = x.data
-    data = np.zeros_like(x.data)
+    data = np.zeros(x.data.shape, np.result_type(x.data, kernel.data))
+    term = np.empty_like(data)
     for k in range(K):
-        data = data + xp[..., k:k + S, :] * kernel.data[k]
+        np.multiply(xp[..., k:k + S, :], kernel.data[k], out=term)
+        data += term
     has_bias = bias is not None
     if has_bias:
-        data = data + bias.data
+        data += bias.data
     parents = [x, kernel] + ([bias] if has_bias else [])
 
     def backward(g):
         gxp = np.zeros_like(xp)
         gk = np.zeros_like(kernel.data)
+        term = np.empty(g.shape, dtype=g.dtype)
         for k in range(K):
-            gxp[..., k:k + S, :] += g * kernel.data[k]
-            sl = xp[..., k:k + S, :] * g
-            gk[k] = sl.reshape(-1, sl.shape[-1]).sum(axis=0)
+            np.multiply(g, kernel.data[k], out=term)
+            gxp[..., k:k + S, :] += term
+            np.multiply(xp[..., k:k + S, :], g, out=term)
+            gk[k] = term.reshape(-1, term.shape[-1]).sum(axis=0)
         gx = gxp[..., half:half + S, :]
         grads = [gx, gk]
         if has_bias:

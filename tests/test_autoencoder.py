@@ -186,6 +186,20 @@ def test_oracle_eval_decodes_each_latent_once(monkeypatch):
         rec["ce"], rec["p_target"], rec["top1"])
 
 
+def test_batchify_lays_out_each_example_once(monkeypatch):
+    examples = C.generate_corpus(seed=4, count=5)
+    want = [C.pad_to_slots(ex, 16, 32) for ex in examples]
+    calls = []
+    pad = AE.pad_to_slots
+    monkeypatch.setattr(AE, "pad_to_slots",
+                        lambda *a: calls.append(a[0]) or pad(*a))
+    ids, mask = AE.batchify(examples, 16, 32)
+    assert calls == examples
+    assert ids.tobytes() == np.stack([w.ids for w in want]).tobytes()
+    assert mask.tobytes() == np.stack([w.mask for w in want]).tobytes()
+    assert (ids.dtype, mask.dtype, ids.shape) == (np.int64, bool, (5, 32))
+
+
 def test_train_stage1_rerun_identical():
     corpus = _tiny_corpus()
     cfg = _tiny_config()

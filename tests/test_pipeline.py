@@ -103,7 +103,7 @@ def test_train_and_val_draw_from_disjoint_seed_streams(tiny):
     assert not train_lines & set(val_lines.read_text().splitlines())
 
 
-def test_generate_corpus_reports_skipped_source_lines(tmp_path):
+def test_generate_corpus_reports_skipped_source_lines(tmp_path, caplog):
     source = tmp_path / "stories.tsv"
     C.write_text_corpus(source, C.generate_corpus(seed=3, count=6))
     with source.open("a", encoding="utf-8") as fh:
@@ -112,9 +112,13 @@ def test_generate_corpus_reports_skipped_source_lines(tmp_path):
     ini.write_text(f"[corpus]\nsource = {source}\nval_count = 2\n")
     cfg = CFG.load_config(ini)
     cfg.sections["paths"]["workdir"] = str(tmp_path / "out")
-    out = P.cmd_generate_corpus(cfg)
+    with caplog.at_level("WARNING", logger="draftflow.corpus"):
+        out = P.cmd_generate_corpus(cfg)
     assert out["skipped_lines"] == 1
     assert out["train_count"] == 6
+    # the source is ingested once: one warning for its one skipped line
+    assert [r.getMessage() for r in caplog.records] == [
+        f"skipped 1 over-budget lines in {source}"]
 
 
 def test_missing_corpus_source_is_a_config_error(tiny):

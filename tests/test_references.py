@@ -9,27 +9,38 @@ import ast
 import importlib
 import importlib.util
 import pathlib
+import types
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def _tracing_targets():
+def _tracing():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
 @pytest.mark.parametrize("span,module,path", [
-    (span, module, path) for span, module, path, _ in _tracing_targets()])
+    (span, module, path) for span, module, path, _ in _tracing().TARGETS])
 def test_traced_targets_resolve(span, module, path):
     owner = importlib.import_module(f"draftflow.{module}")
     for attr in path.split("."):
         owner = getattr(owner, attr)
     assert callable(owner), span
+
+
+@pytest.mark.parametrize("op", _tracing().BWD_OPS)
+def test_traced_backward_ops_define_their_closure(op):
+    # the tracer names a `bwd` span after the first part of the backward
+    # closure's qualname, so the closure must be nested in the op itself
+    fn = getattr(importlib.import_module("draftflow.tensor"), op)
+    nested = [c.co_qualname for c in fn.__code__.co_consts
+              if isinstance(c, types.CodeType)]
+    assert f"{op}.<locals>.backward" in nested, nested
 
 
 def _demo_references(source: str):

@@ -310,22 +310,184 @@ def _attention_query_major(q, k, v, scale, g):
     return attn @ v, g_scores @ k, sw(g_scores) @ q, sw(attn) @ g
 
 
+def _split_heads(a, n_heads):
+    B, S, dim = a.shape
+    return a.reshape(B, S, n_heads, dim // n_heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(a):
+    B, H, S, hd = a.shape
+    return a.transpose(0, 2, 1, 3).reshape(B, S, H * hd)
+
+
 @pytest.mark.parametrize("S,Tk", [(8, 16), (24, 32), (16, 32)])
 def test_attention_core_matches_query_major_reference(S, Tk):
     rng = np.random.default_rng(120 + Tk)
-    q, k, v = (_rand(rng, 3, 4, S, 8), _rand(rng, 3, 4, Tk, 8),
-               _rand(rng, 3, 4, Tk, 8))
-    g = _rand(rng, 3, 4, S, 8)
+    q, k, v = _rand(rng, 3, S, 32), _rand(rng, 3, Tk, 32), _rand(rng, 3, Tk, 32)
+    g = _rand(rng, 3, S, 32)
     ts = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-    out = T.attention_core(*ts, 0.35)
+    out = T.attention_core(*ts, 4)
     T.tsum(out * Tensor(g)).backward()
-    ref = _attention_query_major(q, k, v, 0.35, g)
+    ref = _attention_query_major(*(_split_heads(a, 4) for a in (q, k, v)),
+                                 1.0 / np.sqrt(8), _split_heads(g, 4))
     for name, got, want in zip(("out", "gq", "gk", "gv"),
                                [out.data] + [t.grad for t in ts], ref):
         assert got.dtype == np.float32
         # float32 rounding only: the sum orders differ between layouts
-        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6,
-                                   err_msg=name)
+        np.testing.assert_allclose(got, _merge_heads(want), rtol=1e-5,
+                                   atol=1e-6, err_msg=name)
+
+
+def _attention_key_major(q, k, v, n_heads, g):
+    """Split heads, key-major softmax(q k^T * scale) v, merge heads, and the
+    input gradients for upstream `g`: the split/attend/merge path as three
+    separate steps, with numpy's own max and sum over the key axis."""
+    sw = lambda a: np.swapaxes(a, -1, -2)  # noqa: E731
+    q4, k4, v4, g4 = (_split_heads(a, n_heads) for a in (q, k, v, g))
+    scale = 1.0 / np.sqrt(q.shape[-1] // n_heads)
+    attn_t = k4 @ sw(q4)
+    attn_t *= attn_t.dtype.type(scale)
+    attn_t -= attn_t.max(axis=-2, keepdims=True)
+    np.exp(attn_t, out=attn_t)
+    attn_t /= attn_t.sum(axis=-2, keepdims=True)
+    out = sw(attn_t) @ v4
+    gv = attn_t @ g4
+    g_st = v4 @ sw(g4)
+    g_st -= (g_st * attn_t).sum(axis=-2, keepdims=True)
+    g_st *= attn_t
+    g_st *= g_st.dtype.type(scale)
+    return [_merge_heads(a) for a in (out, sw(g_st) @ k4, g_st @ q4, gv)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("B", [1, 64])
+@pytest.mark.parametrize("S,Tk,dim", [(32, 32, 64), (32, 32, 32), (32, 16, 64)],
+                         ids=["encoder", "decoder", "cross"])
+def test_attention_core_matches_split_path_bitwise(S, Tk, dim, B, dtype):
+    rng = np.random.default_rng(140 + B + dim)
+    q, k, v, g = (rng.standard_normal(shape).astype(dtype) for shape in
+                  ((B, S, dim), (B, Tk, dim), (B, Tk, dim), (B, S, dim)))
+    ts = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+    out = T.attention_core(*ts, 8)
+    T.tsum(out * Tensor(g)).backward()
+    ref = _attention_key_major(q, k, v, 8, g)
+    for name, got, want in zip(("out", "gq", "gk", "gv"),
+                               [out.data] + [t.grad for t in ts], ref):
+        assert got.dtype == dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("Tk", [1, 2, 3, 5, 8, 16, 17, 31, 32, 33])
+def test_key_axis_reductions_match_numpy_bitwise(Tk, dtype):
+    rng = np.random.default_rng(150 + Tk)
+    for lead in [(1,), (3, 4), (2, 8)]:
+        for S in (1, 7, 32):
+            a, b = (rng.standard_normal(lead + (Tk, S)).astype(dtype)
+                    for _ in range(2))
+            np.exp(a, out=a)
+            got_max = T._max_keys(a)
+            assert got_max.tobytes() == a.max(axis=-2, keepdims=True).tobytes()
+            assert got_max.shape == lead + (1, S)
+            assert T._sum_keys(a).tobytes() == a.sum(axis=-2).tobytes()
+            assert T._sum_keys(a, b).tobytes() == (a * b).sum(axis=-2).tobytes()
+
+
+def _node_out_and_grads(op, arrays, g, **kw):
+    ts = [None if a is None else Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*ts, **kw)
+    return [out.data] + list(out._backward(g))
+
+
+def _ref_affine(x, w, b, g):
+    g2 = g.reshape(-1, w.shape[-1])
+    return [x @ w + b, (g2 @ w.T).reshape(x.shape),
+            x.reshape(-1, x.shape[-1]).T @ g2, g2.sum(axis=0)]
+
+
+def _ref_layer_norm(x, gamma, beta, g, eps=1e-5):
+    n = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / n
+    xc = x - mu
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / n + eps)
+    xhat = xc * inv
+    dxhat = g if gamma is None else g * gamma
+    m1 = dxhat.sum(axis=-1, keepdims=True) / n
+    m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
+    dx = inv * (dxhat - m1 - xhat * m2)
+    if gamma is None:
+        return [xhat, dx]
+    lead = tuple(range(x.ndim - 1))
+    return [xhat * gamma + beta, dx, (g * xhat).sum(axis=lead),
+            g.sum(axis=lead)]
+
+
+def _ref_tanh(x, g):
+    y = np.tanh(x)
+    return [y, g * (1.0 - y * y)]
+
+
+def _ref_logsumexp(x, g, axis, keepdims):
+    m = x.max(axis=axis, keepdims=True)
+    e = np.exp(x - m)
+    s = e.sum(axis=axis, keepdims=True)
+    y = np.log(s) + m
+    if not keepdims:
+        y = np.squeeze(y, axis=axis)
+        g = np.expand_dims(g, axis)
+    return [y, g * (e / s)]
+
+
+def _ref_dwconv(x, kernel, bias, g):
+    K, S = kernel.shape[0], x.shape[-2]
+    half = K // 2
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(half, K - 1 - half), (0, 0)])
+    out = np.zeros_like(x)
+    gxp = np.zeros_like(xp)
+    gk = np.zeros_like(kernel)
+    for k in range(K):
+        out = out + xp[..., k:k + S, :] * kernel[k]
+        gxp[..., k:k + S, :] += g * kernel[k]
+        gk[k] = (xp[..., k:k + S, :] * g).reshape(-1, x.shape[-1]).sum(axis=0)
+    return [out + bias, gxp[..., half:half + S, :], gk,
+            g.reshape(-1, g.shape[-1]).sum(axis=0)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ops_match_unfused_formulas_bitwise(dtype):
+    """Forward values and backward closures equal the formulas written with
+    a fresh temporary per step."""
+    rng = np.random.default_rng(160)
+    r = lambda *shape: rng.standard_normal(shape).astype(dtype)  # noqa: E731
+    for lead in [(1, 5), (4, 32), (7,)]:
+        x, g = 3.0 * r(*lead, 64) + 0.5, r(*lead, 64)
+        w, b, gw = r(64, 24), r(24), r(*lead, 24)
+        gamma, beta = r(64), r(64)
+        cases = [
+            (T.affine, [x, w, b], gw, {}, _ref_affine(x, w, b, gw)),
+            (T.layer_norm, [x, gamma, beta], g, {},
+             _ref_layer_norm(x, gamma, beta, g)),
+            (T.layer_norm, [x], g, {}, _ref_layer_norm(x, None, None, g)),
+            (T.tanh, [x], g, {}, _ref_tanh(x, g)),
+        ]
+        for K in (1, 4, 5):
+            kernel = r(K, 64)
+            cases.append((T.dwconv1d, [x, kernel, beta], g, {},
+                          _ref_dwconv(x, kernel, beta, g)))
+        for axis in range(-1, -len(lead) - 2, -1):
+            for keepdims in (False, True):
+                y = _ref_logsumexp(x, g, axis, True)[0]
+                gl = y if keepdims else np.squeeze(y, axis=axis)
+                cases.append((T.logsumexp, [x], gl,
+                              {"axis": axis, "keepdims": keepdims},
+                              _ref_logsumexp(x, gl, axis, keepdims)))
+        for op, arrays, gout, kw, want in cases:
+            got = _node_out_and_grads(op, arrays, gout, **kw)
+            assert len(got) == len(want), op.__name__
+            for i, (a, e) in enumerate(zip(got, want)):
+                label = f"{op.__name__} {kw} lead={lead} output {i}"
+                assert a.dtype == dtype and a.shape == e.shape, label
+                assert a.tobytes() == e.tobytes(), label
 
 
 def test_affine_backward_skips_frozen_parents():
