@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,6 +167,9 @@ _SLOT_RULES = {
 
 _PUNCT = [".", "!", "?"]
 _PUNCT_P = [0.6, 0.25, 0.15]
+# the normalised cumulative table `Generator.choice(p=_PUNCT_P)` searches:
+# `bisect_right` over it with one `rng.random()` draws the same index
+_PUNCT_CDF = (np.cumsum(_PUNCT_P) / np.cumsum(_PUNCT_P)[-1]).tolist()
 _PLACEHOLDER_RE = re.compile(r"\{(\w+)\}")
 
 
@@ -208,7 +212,7 @@ def _fill(tag_tpl, bindings: dict, words: dict, rng, compound_rate: float) -> li
             continue
         slot = m.group(1)
         if slot == "punct":
-            out.append(_PUNCT[rng.choice(len(_PUNCT), p=_PUNCT_P)])
+            out.append(_PUNCT[bisect_right(_PUNCT_CDF, rng.random())])
             continue
         pool_key, reuse = _SLOT_RULES[slot]
         if reuse and slot in bindings:
@@ -218,7 +222,7 @@ def _fill(tag_tpl, bindings: dict, words: dict, rng, compound_rate: float) -> li
                 pool = words["compound"]
             else:
                 pool = words[pool_key]
-            word = pool[rng.choice(len(pool))]
+            word = pool[rng.integers(len(pool))]
             if reuse:
                 bindings[slot] = word
         out.extend(word.split())
@@ -228,15 +232,15 @@ def _fill(tag_tpl, bindings: dict, words: dict, rng, compound_rate: float) -> li
 def _one_story(grammar: GrammarConfig, rng) -> tuple[list[str], list[str], str]:
     bindings: dict = {}
     # distinct second actor keeps "they"/"showed" sentences coherent
-    s1 = _fill(grammar.prompt_templates[rng.choice(len(grammar.prompt_templates))],
+    s1 = _fill(grammar.prompt_templates[rng.integers(len(grammar.prompt_templates))],
                bindings, grammar.words, rng, grammar.compound_rate)
     others = [e for e in grammar.words["entity"] if e != bindings.get("e")]
-    bindings["e2"] = others[rng.choice(len(others))]
-    s2 = _fill(grammar.prompt2_templates[rng.choice(len(grammar.prompt2_templates))],
+    bindings["e2"] = others[rng.integers(len(others))]
+    s2 = _fill(grammar.prompt2_templates[rng.integers(len(grammar.prompt2_templates))],
                bindings, grammar.words, rng, grammar.compound_rate)
-    c1_t = grammar.cont_templates[rng.choice(len(grammar.cont_templates))]
+    c1_t = grammar.cont_templates[rng.integers(len(grammar.cont_templates))]
     c1 = _fill(c1_t, bindings, grammar.words, rng, grammar.compound_rate)
-    c2_t = grammar.cont2_templates[rng.choice(len(grammar.cont2_templates))]
+    c2_t = grammar.cont2_templates[rng.integers(len(grammar.cont2_templates))]
     c2 = _fill(c2_t, bindings, grammar.words, rng, grammar.compound_rate)
     return s1 + s2, c1 + c2, f"{c1_t[0]}+{c2_t[0]}"
 

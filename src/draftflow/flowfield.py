@@ -411,36 +411,84 @@ def _eval_row(ae: Autoencoder, variant: str, z_full, z_start_full,
             "seed": seed}
 
 
+class StartBatches:
+    """Each stage-2 step's batch and frozen start latents, shared by variants.
+
+    Step k's batch comes from `rng_for(seed, k, 17)` whatever the variant, so
+    the encoded corpus and the DraftPrior start latents of a step are the
+    same for every variant trained with one config. The corpus is encoded
+    once; a step's start latents are computed the first time it is asked
+    for and dropped after `readers` reads. All cached arrays are read-only.
+    """
+
+    def __init__(self, ae: Autoencoder, prior: DraftPrior, corpus: list,
+                 config: Stage2Config, readers: int = 1):
+        if not ae.frozen:
+            raise ValueError("stage-1 model must be frozen")
+        if len(corpus) <= config.val_count:
+            raise ValueError("val_count leaves no training data")
+        if readers < 1:
+            raise ValueError("readers must be >= 1")
+        self.ae, self.prior, self.corpus, self.config = ae, prior, corpus, config
+        self.readers = readers
+        self.train = corpus[:-config.val_count]
+        self.ids, self.mask = batchify(self.train, ae.config.m, ae.config.n)
+        self.z_real = ae.encode_all(self.ids)
+        for a in (self.ids, self.mask, self.z_real):
+            a.flags.writeable = False
+        self._starts: dict = {}  # step -> [start latents, reads so far]
+
+    def batch(self, step: int):
+        """(rng, idx, z_start_full) of one step.
+
+        `rng` is the step's generator after the batch and start-seed draws,
+        so the caller's later draws continue the same stream.
+        """
+        cfg = self.config
+        rng = T.rng_for(cfg.seed, step, 17)
+        idx = rng.integers(0, len(self.train), size=cfg.batch_size)
+        seed = int(rng.integers(0, 2**31))
+        entry = self._starts.get(step)
+        if entry is None:
+            z, _, _, _ = start_latents(self.ae, self.prior,
+                                       [self.train[i] for i in idx],
+                                       cfg.dropout, seed)
+            z.flags.writeable = False
+            entry = self._starts[step] = [z, 0]
+        entry[1] += 1
+        if entry[1] >= self.readers:
+            del self._starts[step]
+        return rng, idx, entry[0]
+
+
 def train_stage2(ae: Autoencoder, prior: DraftPrior, corpus: list,
-                 variant: str, config: Stage2Config | None = None):
+                 variant: str, config: Stage2Config | None = None,
+                 starts: StartBatches | None = None):
     """Train one refinement variant on all but the last `val_count` examples.
 
+    `starts` shares the frozen start path between variants trained with the
+    same models, corpus and config; without it the variant builds its own.
     Returns the frozen bundle; `stage2_report` scores it on held-out data.
     """
-    if not ae.frozen:
-        raise ValueError("stage-1 model must be frozen")
     cfg = config or Stage2Config()
-    if len(corpus) <= cfg.val_count:
-        raise ValueError("val_count leaves no training data")
-    train = corpus[:-cfg.val_count]
     m, n, d = ae.config.m, ae.config.n, ae.config.d
 
     bundle = make_bundle(variant, d, m, n, ae.config.vocab_size, cfg)
     flownet = bundle.flownet
     stores = bundle.stores()
 
-    ids_real, mask_real = batchify(train, m, n)
-    z_real = ae.encode_all(ids_real)
+    if starts is None:
+        starts = StartBatches(ae, prior, corpus, cfg)
+    elif not (starts.ae is ae and starts.prior is prior
+              and starts.corpus is corpus and starts.config == cfg):
+        raise ValueError("starts were built for another model, corpus or "
+                         "config")
 
     def step_fn(step):
-        rng = T.rng_for(cfg.seed, step, 17)
-        idx = rng.integers(0, len(train), size=cfg.batch_size)
-        batch = [train[i] for i in idx]
-        z_start_full, _, _, _ = start_latents(
-            ae, prior, batch, cfg.dropout, int(rng.integers(0, 2**31)))
+        rng, idx, z_start_full = starts.batch(step)
         z_start = z_start_full[:, m:]
         z_p = Tensor(z_start_full[:, :m])
-        z_s = z_real[idx][:, m:]
+        z_s = starts.z_real[idx][:, m:]
         t = float(rng.uniform(0.0, 1.0))
 
         if variant == "fused":
@@ -449,7 +497,7 @@ def train_stage2(ae: Autoencoder, prior: DraftPrior, corpus: list,
             z_full_t = T.concat([z_p, traj[-1]], axis=-2)
             z_mid = traj[cfg.train_steps_ode // 2]
             return fused_loss(ae, bundle.aux, z_full_t, z_mid,
-                              ids_real[idx], mask_real[idx], cfg.beta)
+                              starts.ids[idx], starts.mask[idx], cfg.beta)
         # the field regresses the local target, not the path velocity
         sample = sample_flow_state(z_start, z_s, t)
         sample.u_t = Tensor(local_target(z_s, z_start, cfg.rho))

@@ -10,6 +10,8 @@ saved arrays instead, which is how a model is built from a checkpoint.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import hashlib
 import zlib
 from typing import Iterator
@@ -315,6 +317,29 @@ class DivergenceError(RuntimeError):
         super().__init__(message or f"non-finite loss at step {step}")
 
 
+M_TOP_PAD = -2  # glibc mallopt parameter
+HEAP_TOP_PAD = 512 << 20
+
+
+@functools.cache
+def _keep_heap_top():
+    """Ask glibc to keep up to HEAP_TOP_PAD bytes of freed heap top mapped.
+
+    `fit` frees each step's whole tape; by default glibc then returns the
+    heap top to the system, and the next step faults the same pages back in.
+    Only pages a step touched stay resident, so the peak is unchanged, but
+    they are not returned after training either. Setting the pad also stops
+    glibc raising its mmap threshold, so blocks above the threshold reached
+    by then are still mapped fresh per step. Does nothing where the C library
+    has no `mallopt`.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(M_TOP_PAD, HEAP_TOP_PAD)
+
+
 def fit(stores: list, train_config, step_fn, log_row=None) -> list:
     """Run `train_config.steps` optimizer steps over `stores`; return the log.
 
@@ -325,6 +350,7 @@ def fit(stores: list, train_config, step_fn, log_row=None) -> list:
     `log_row(step, loss, parts)`, by default {"step", "loss", **parts}, with
     the loss as a float.
     """
+    _keep_heap_top()
     tc = train_config
     opts = [AdamW(s, lr=tc.lr, weight_decay=tc.weight_decay) for s in stores]
     history = []

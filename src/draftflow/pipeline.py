@@ -259,8 +259,12 @@ def cmd_train(stage: str, cfg: RunConfig) -> dict:
     corpus, _ = _train_corpus(cfg)
     s2cfg = _section_config(FF.Stage2Config, cfg, "stage2")
     out = {"stage": "flow", "checkpoints": {}, "hashes": {}}
-    for variant in parse_names(cfg["stage2"]["variants"]):
-        bundle = FF.train_stage2(ae, prior, corpus, variant, s2cfg)
+    variants = parse_names(cfg["stage2"]["variants"])
+    # every variant trains from the same start path: compute it once
+    starts = FF.StartBatches(ae, prior, corpus, s2cfg, readers=len(variants)) \
+        if variants else None
+    for variant in variants:
+        bundle = FF.train_stage2(ae, prior, corpus, variant, s2cfg, starts)
         path = _ckpt_path(cfg, "flow", variant)
         snap = {**_dims_snapshot(cfg, vocab), "variant": variant,
                 **{key: getattr(s2cfg, key) for key in FLOW_FIXED}}

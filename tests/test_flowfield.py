@@ -1,5 +1,6 @@
 """Force field, Euler refinement, bounded residual, and the variant matrix."""
 
+import collections
 import csv
 
 import numpy as np
@@ -482,6 +483,58 @@ def test_train_stage2_deterministic_and_leaves_frozen_untouched():
     assert sums[0] == sums[1]
     assert ae.store.checksum() == ae_sum
     assert prior.store.checksum() == prior_sum
+
+
+def test_variants_share_one_start_path(monkeypatch):
+    ae, prior, corpus = _tiny_stage2_setup()
+    cfg = F.Stage2Config(steps=3, batch_size=8, val_count=40, ot_points=16,
+                         log_every=1)
+    alone = {v: F.train_stage2(ae, prior, corpus, v, cfg) for v in F.VARIANTS}
+
+    calls = collections.Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(AE.Autoencoder, "encode_all",
+                        counted("encode_all", AE.Autoencoder.encode_all))
+    monkeypatch.setattr(F, "start_latents",
+                        counted("start_latents", F.start_latents))
+    starts = F.StartBatches(ae, prior, corpus, cfg, readers=len(F.VARIANTS))
+    for v in F.VARIANTS:
+        shared = F.train_stage2(ae, prior, corpus, v, cfg, starts)
+        want, got = alone[v].state_arrays(), shared.state_arrays()
+        assert list(got) == list(want)
+        assert all(got[k].tobytes() == want[k].tobytes() for k in want), v
+        assert shared.history == alone[v].history
+    assert calls == {"encode_all": 1, "start_latents": cfg.steps}
+    assert not starts._starts  # each step dropped after its last reader
+
+
+def test_start_batches_are_read_only_and_bound_to_their_inputs():
+    ae, prior, corpus = _tiny_stage2_setup()
+    cfg = F.Stage2Config(steps=2, batch_size=8, val_count=40)
+    starts = F.StartBatches(ae, prior, corpus, cfg, readers=2)
+    _, _, z = starts.batch(0)
+    assert starts._starts  # kept for the second reader
+    for a in (z, starts.z_real, starts.ids, starts.mask):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    assert starts.batch(0)[2] is z and not starts._starts
+    # a single reader holds nothing between steps
+    single = F.StartBatches(ae, prior, corpus, cfg)
+    single.batch(0)
+    assert not single._starts
+    with pytest.raises(ValueError):
+        F.StartBatches(ae, prior, corpus, cfg, readers=0)
+    other = F.Stage2Config(steps=2, batch_size=8, val_count=40, seed=1)
+    with pytest.raises(ValueError):
+        F.train_stage2(ae, prior, corpus, "raw", other, starts)
+    with pytest.raises(ValueError):
+        F.train_stage2(ae, prior, corpus[:-1], "raw", cfg, starts)
 
 
 def test_refine_zero_steps_is_start():

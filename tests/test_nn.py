@@ -1,5 +1,9 @@
 """Layer and optimizer checks on top of the tape."""
 
+import pathlib
+import platform
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -179,6 +183,47 @@ def test_fit_raises_divergence_with_step():
     with pytest.raises(nn.DivergenceError) as err:
         nn.fit([store], _fit_config(10), step_fn)
     assert err.value.step == 3
+
+
+_FIT_FAULTS = """
+import resource, types
+import numpy as np
+from draftflow import nn
+from draftflow import tensor as T
+from draftflow.tensor import Tensor
+
+store = nn.ParamStore(rng_seed=3)
+w = store.add("w", (1,))
+start = {}
+
+def step_fn(step):
+    if step == 2:
+        start["faults"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    # 256 tape nodes of 64 KiB (below the mmap threshold, so on the heap):
+    # a 16 MiB tape, far above glibc's default 128 KiB trim threshold
+    x = Tensor(np.ones(16384, dtype=np.float32)) * w
+    for _ in range(256):
+        x = T.tanh(x)
+    return T.tmean(x), {}
+
+nn.fit([store], types.SimpleNamespace(steps=6, lr=1e-3, weight_decay=0.0,
+                                      grad_clip=1.0, log_every=10), step_fn)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start["faults"])
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="heap trimming is glibc behaviour")
+def test_fit_keeps_freed_tape_memory_between_steps():
+    # without a heap top pad, glibc trims the freed tape after every step and
+    # the next step faults its 4096 pages back in; a fresh interpreter starts
+    # from glibc's default thresholds
+    src = pathlib.Path(nn.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", _FIT_FAULTS],
+                         env={"PYTHONPATH": str(src)}, capture_output=True,
+                         text=True, check=True, timeout=120)
+    faults = int(out.stdout.split()[-1])
+    assert faults < 1000, f"{faults} minor faults over 4 steps"
 
 
 def test_adamw_skips_frozen_params():

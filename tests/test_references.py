@@ -8,6 +8,7 @@ package functions by name at run time, so a rename or deletion inside
 import ast
 import importlib
 import importlib.util
+import inspect
 import pathlib
 import types
 
@@ -41,6 +42,14 @@ def test_traced_backward_ops_define_their_closure(op):
     nested = [c.co_qualname for c in fn.__code__.co_consts
               if isinstance(c, types.CodeType)]
     assert f"{op}.<locals>.backward" in nested, nested
+
+
+def test_traced_train_stage2_keeps_variant_fourth():
+    # the tracer's per-variant hook reads a positional variant as args[3]
+    from draftflow import flowfield
+
+    params = list(inspect.signature(flowfield.train_stage2).parameters)
+    assert params.index("variant") == 3, params
 
 
 def _demo_references(source: str):
