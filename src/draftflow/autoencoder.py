@@ -141,7 +141,7 @@ class Autoencoder:
 
 @dataclass
 class StageOneTrainConfig:
-    steps: int = 1200
+    steps: int = 600
     batch_size: int = 64
     lr: float = 1e-3
     weight_decay: float = 0.01

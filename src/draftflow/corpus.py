@@ -23,6 +23,8 @@ log = logging.getLogger(__name__)
 
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
 RESERVED = ("<pad>", "<bos>", "<eos>", "<unk>")
+# prompt/target separator of a corpus file line
+DELIMITER = "\t"
 
 
 class Vocabulary:
@@ -347,8 +349,8 @@ def corrupt_draft(target: TokenSequence, spec: CorruptionSpec) -> TokenSequence:
 
 
 def ingest_text_corpus(path, vocab: Vocabulary, max_prompt_tokens: int = 16,
-                       max_target_tokens: int = 16,
-                       delimiter: str = "\t") -> tuple[list[StoryExample], int]:
+                       max_target_tokens: int = 16
+                       ) -> tuple[list[StoryExample], int]:
     """Read tab-separated prompt/target lines; return (examples, n_skipped).
 
     Unknown words map to UNK; over-budget lines are skipped and counted. A
@@ -361,10 +363,10 @@ def ingest_text_corpus(path, vocab: Vocabulary, max_prompt_tokens: int = 16,
             line = line.rstrip("\n")
             if not line:
                 continue
-            if delimiter not in line:
+            if DELIMITER not in line:
                 raise ValueError(f"{path}: line {lineno} has no "
                                  f"prompt/target delimiter")
-            prompt_text, target_text = line.split(delimiter, maxsplit=1)
+            prompt_text, target_text = line.split(DELIMITER, maxsplit=1)
             prompt_ids = vocab.encode(prompt_text)
             target_ids = vocab.encode(target_text)
             if (len(prompt_ids) > max_prompt_tokens
@@ -381,8 +383,7 @@ def ingest_text_corpus(path, vocab: Vocabulary, max_prompt_tokens: int = 16,
     return examples, skipped
 
 
-def write_text_corpus(path, examples: list[StoryExample],
-                      delimiter: str = "\t"):
+def write_text_corpus(path, examples: list[StoryExample]):
     """Write one prompt/target pair per line, UTF-8, newline-terminated.
 
     The file is replaced atomically: an interrupted write leaves the previous
@@ -390,4 +391,4 @@ def write_text_corpus(path, examples: list[StoryExample],
     """
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for ex in examples:
-            fh.write(f"{ex.raw_text[0]}{delimiter}{ex.raw_text[1]}\n")
+            fh.write(f"{ex.raw_text[0]}{DELIMITER}{ex.raw_text[1]}\n")

@@ -43,12 +43,8 @@ class DraftPriorConfig:
 # layer count: part of the architecture, not a tunable
 N_LAYERS = 4
 
-
-@dataclass(frozen=True)
-class LossWeights:
-    mse: float = 1.0
-    cos: float = 0.5
-    norm: float = 0.1
+# weights of the latent geometry anchors against the decoder CE
+MSE_WEIGHT, COS_WEIGHT, NORM_WEIGHT = 1.0, 0.5, 0.1
 
 
 class DraftPrior:
@@ -92,8 +88,7 @@ class DraftPrior:
 
 
 def draftprior_loss(ae: Autoencoder, z_start: Tensor, z_s: np.ndarray,
-                    z_p: np.ndarray, ids: np.ndarray, mask: np.ndarray,
-                    weights: LossWeights = LossWeights()):
+                    z_p: np.ndarray, ids: np.ndarray, mask: np.ndarray):
     """Decoder CE on [prompt; z_start] plus latent geometry anchors.
 
     Returns (total, parts) where parts holds each sub-term as a float. The
@@ -118,9 +113,9 @@ def draftprior_loss(ae: Autoencoder, z_start: Tensor, z_s: np.ndarray,
     cos_term = T.tmean(Tensor(np.float32(1.0)) - cos)
     norm_term = T.tmean((nu - nv) * (nu - nv))
 
-    total = (ce + Tensor(np.float32(weights.mse)) * mse
-             + Tensor(np.float32(weights.cos)) * cos_term
-             + Tensor(np.float32(weights.norm)) * norm_term)
+    total = (ce + Tensor(np.float32(MSE_WEIGHT)) * mse
+             + Tensor(np.float32(COS_WEIGHT)) * cos_term
+             + Tensor(np.float32(NORM_WEIGHT)) * norm_term)
     parts = {"ce": float(ce.data), "mse": float(mse.data),
              "cos": float(cos_term.data), "norm": float(norm_term.data)}
     return total, parts
@@ -136,7 +131,6 @@ class DraftPriorTrainConfig:
     corruption_levels: tuple = (0.0, 0.03, 0.05, 0.10, 0.20)
     val_count: int = 200
     log_every: int = 100
-    weights: LossWeights = LossWeights()
     seed: int = 1337
 
 
@@ -191,7 +185,7 @@ def train_draftprior(ae: Autoencoder, corpus: list,
             Tensor(z_t), Tensor(z_draft[:, :m]), alpha)
         return draftprior_loss(
             ae, z_start, z_real[idx][:, m:], z_draft[:, :m],
-            ids_real[idx], mask_real[idx], tc.weights)
+            ids_real[idx], mask_real[idx])
 
     history = nn.fit([model.store], tc, step_fn)
     model.store.freeze()
@@ -201,7 +195,7 @@ def train_draftprior(ae: Autoencoder, corpus: list,
 
 
 def start_latents(ae: Autoencoder, prior: DraftPrior, examples: list,
-                  dropout: float, seed: int, alpha: float | None = None):
+                  dropout: float, seed: int):
     """Run the inference-side start path on a batch of examples.
 
     Returns (z_full, z_t_full, ids, mask): the prior's start latents and the
@@ -210,7 +204,7 @@ def start_latents(ae: Autoencoder, prior: DraftPrior, examples: list,
     if not examples:
         raise ValueError("need at least one example")
     cfg = prior.config
-    a = cfg.alpha if alpha is None else alpha
+    a = cfg.alpha
     if not 0.0 < a <= 1.0:
         raise ValueError(f"alpha must be in (0,1], got {a}")
     ids, mask = batchify(examples, cfg.m, cfg.n)
@@ -229,8 +223,8 @@ def start_latents(ae: Autoencoder, prior: DraftPrior, examples: list,
 
 
 def corruption_curve(ae: Autoencoder, prior: DraftPrior, examples: list,
-                     dropouts=(0.0, 0.03, 0.05, 0.10), seed: int = 1337,
-                     alpha: float | None = None) -> list:
+                     dropouts=(0.0, 0.03, 0.05, 0.10), seed: int = 1337
+                     ) -> list:
     """Recoverability of z_start per dropout level over a fixed eval set."""
     if len(tuple(dropouts)) == 0:
         raise ValueError("need at least one dropout level")
@@ -239,7 +233,7 @@ def corruption_curve(ae: Autoencoder, prior: DraftPrior, examples: list,
     rows = []
     for k, p in enumerate(dropouts):
         z_full, _, ids, mask = start_latents(
-            ae, prior, examples, float(p), seed + k, alpha)
+            ae, prior, examples, float(p), seed + k)
         rec = diagnostics.recoverability(ae, z_full, ids, mask)
         rows.append({"dropout": float(p), "ce": rec["ce"],
                      "p_target": rec["p_target"], "top1": rec["top1"],

@@ -41,12 +41,12 @@ class FlowConfig:
     n: int = 32
     h: int = 64
     n_heads: int = 8
-    conv_kernel: int = 5
     seed: int = 5521
 
 
-# layer count: part of the architecture, not a tunable
+# layer count and conv kernel width: part of the architecture, not tunables
 DEPTH = 5
+CONV_KERNEL = 5
 
 
 class FlowNet:
@@ -62,7 +62,7 @@ class FlowNet:
         self.pos = nn.positional_table(s, "flow.pos", suffix, c.h)
         self.ctx_pos = nn.positional_table(s, "flow.ctx_pos", c.m, c.h)
         self.convs = [
-            nn.DepthwiseConv1d(s, f"flow.conv{i}", c.h, k=c.conv_kernel)
+            nn.DepthwiseConv1d(s, f"flow.conv{i}", c.h, CONV_KERNEL)
             for i in range(DEPTH)]
         self.conv_lns = [
             nn.LayerNorm(s, f"flow.conv_ln{i}", c.h) for i in range(DEPTH)]

@@ -2,7 +2,7 @@
 
 A two-layer MLP reads each suffix slot's latent together with a mean-pooled
 prompt summary and the time coordinate, and emits per-coordinate log scales.
-Logs are clamped to [-log_bound, log_bound] and exponentiated, so the
+Logs are clamped to [-LOG_BOUND, LOG_BOUND] and exponentiated, so the
 diagonal is strictly positive by construction, then rescaled to mean 1 per
 slot so the metric redistributes sensitivity without changing the overall
 velocity scale.
@@ -22,12 +22,10 @@ from .tensor import Tensor
 @dataclass
 class MetricConfig:
     d: int
-    log_bound: float = 0.5
     seed: int = 4411
 
-    def __post_init__(self):
-        if self.log_bound <= 0:
-            raise ValueError("log_bound must be positive")
+
+LOG_BOUND = 0.5
 
 
 class MetricNet:
@@ -75,7 +73,7 @@ class MetricNet:
         feats = T.concat(
             [z_t, prompt, Tensor(np.float32(t) * ones), Tensor(ones)], axis=-1)
         raw = self.l2(T.tanh(self.l1(feats)))
-        g = T.exp(T.clip(raw, -self.config.log_bound, self.config.log_bound))
+        g = T.exp(T.clip(raw, -LOG_BOUND, LOG_BOUND))
         return g / T.tmean(g, axis=-1, keepdims=True)
 
 

@@ -111,12 +111,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._entries[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def items(self) -> Iterator[tuple[str, Tensor]]:
         return iter(self._entries.items())
 
@@ -161,15 +155,9 @@ class Linear:
 
 
 class LayerNorm:
-    def __init__(self, store: ParamStore, name: str, dim: int,
-                 affine: bool = True):
-        if affine:
-            self.gamma = store.add(f"{name}.gamma", (dim,), scale=0.0,
-                                   fill=1.0)
-            self.beta = store.add(f"{name}.beta", (dim,), scale=0.0)
-        else:
-            self.gamma = None
-            self.beta = None
+    def __init__(self, store: ParamStore, name: str, dim: int):
+        self.gamma = store.add(f"{name}.gamma", (dim,), scale=0.0, fill=1.0)
+        self.beta = store.add(f"{name}.beta", (dim,), scale=0.0)
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.gamma, self.beta)
@@ -236,7 +224,7 @@ class TransformerLayer:
 class DepthwiseConv1d:
     """Per-channel conv over the slot axis, kernel width k, same padding."""
 
-    def __init__(self, store: ParamStore, name: str, channels: int, k: int = 5):
+    def __init__(self, store: ParamStore, name: str, channels: int, k: int):
         self.kernel = store.add(f"{name}.kernel", (k, channels),
                                 scale=1.0 / np.sqrt(k))
         self.bias = store.add(f"{name}.bias", (channels,), scale=0.0)
@@ -252,6 +240,11 @@ def positional_table(store: ParamStore, name: str, n_slots: int, dim: int) -> Te
 # -- optimizer --------------------------------------------------------------
 
 
+# AdamW moment decay rates and the update's denominator guard
+ADAM_B1, ADAM_B2 = 0.9, 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamW:
     """Decoupled weight decay Adam over a ParamStore.
 
@@ -260,12 +253,9 @@ class AdamW:
     """
 
     def __init__(self, store: ParamStore, lr: float = 3e-4,
-                 betas: tuple = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.01):
         self.store = store
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self._m = {name: np.zeros_like(t.data) for name, t in store.items()}
@@ -273,19 +263,19 @@ class AdamW:
 
     def step(self):
         self.t += 1
-        b1t = 1.0 - self.b1 ** self.t
-        b2t = 1.0 - self.b2 ** self.t
+        b1t = 1.0 - ADAM_B1 ** self.t
+        b2t = 1.0 - ADAM_B2 ** self.t
         for name, p in self.store.items():
             if p.grad is None or not p.requires_grad:
                 continue
             g = p.grad
             m = self._m[name]
             v = self._v[name]
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * (g * g)
-            update = (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= ADAM_B1
+            m += (1.0 - ADAM_B1) * g
+            v *= ADAM_B2
+            v += (1.0 - ADAM_B2) * (g * g)
+            update = (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
             if self.weight_decay and p.data.ndim > 1:
                 update = update + self.weight_decay * p.data
             p.data = p.data - T.DTYPE(self.lr) * update.astype(T.DTYPE)

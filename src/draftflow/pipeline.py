@@ -124,6 +124,16 @@ def _checkpoint(cfg: RunConfig, stage: str,
     return ck
 
 
+def _check_variants(cfg: RunConfig):
+    """Reject an unknown `[stage2] variants` or `[eval] report_variant` name
+    before any model work: no training run can write its checkpoint."""
+    for section, key in (("stage2", "variants"), ("eval", "report_variant")):
+        for name in parse_names(cfg[section][key]):
+            if name not in FF.VARIANTS:
+                raise ConfigError(f"[{section}] {key}: unknown variant "
+                                  f"'{name}' (choose from {FF.VARIANTS})")
+
+
 def _dims_snapshot(cfg: RunConfig, vocab) -> dict:
     return {**cfg["dims"], "vocab_size": vocab.size,
             "seed": cfg["run"]["seed"]}
@@ -213,6 +223,7 @@ def cmd_train(stage: str, cfg: RunConfig) -> dict:
     """Train one stage; later stages require earlier checkpoints."""
     if stage not in STAGES:
         raise ConfigError(f"unknown stage '{stage}' (choose from {STAGES})")
+    _check_variants(cfg)
     wd = _workdir(cfg)
     _, vocab = _grammar_vocab()
     t0 = time.perf_counter()
@@ -315,6 +326,7 @@ def cmd_eval(report: str, cfg: RunConfig) -> dict:
     if report not in REPORTS:
         raise ConfigError(f"unknown report '{report}' "
                           f"(choose from {REPORTS})")
+    _check_variants(cfg)
     val = _val_corpus(cfg)
     seed = cfg["run"]["seed"]
     ae = _load_ae(cfg)
@@ -327,9 +339,13 @@ def cmd_eval(report: str, cfg: RunConfig) -> dict:
         with no_grad():
             z_real = ae.encode_array(ids).data
         out = D.dissociation_probe(ae, z_real, ids, mask)
+        # control: random directions at the probe's perturbation norms
+        p_random = D.matched_norm_random_probe(ae, z_real, ids, mask,
+                                               out["z_adv"], seed=seed)
         rows = [{"example": i,
                  "cosine": float(out["cosine"][i]),
                  "p_target": float(out["p_target"][i]),
+                 "p_target_random": float(p_random[i]),
                  "p_target_real": float(out["p_target_real"][i]),
                  "success": int(out["success"][i]),
                  "steps_used": int(out["steps_used"][i])}
@@ -400,6 +416,7 @@ def cmd_infer(cfg: RunConfig, prompt: str, draft: str, steps: int = 16,
     """Draft-to-continuation: encode, denoise start, refine, decode."""
     if steps < 0:
         raise ConfigError("steps must be >= 0")
+    _check_variants(cfg)
     _, vocab = _grammar_vocab()
     clock = [time.perf_counter()]
     ae = _load_ae(cfg)

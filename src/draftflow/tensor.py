@@ -204,76 +204,44 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # -- elementwise ------------------------------------------------------------
 
 
-def add(a, b):
+def _binary(a, b, ufunc, grad_a, grad_b):
+    """Broadcasting elementwise node `ufunc(a, b)`; either side may be a
+    plain array or scalar. `grad_a(g, ad, bd)` and `grad_b(g, ad, bd)` give
+    each side's gradient before it is summed back to that side's shape."""
     ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
     ad = a.data if ta else a
     bd = b.data if tb else b
-    data = ad + bd
+    data = ufunc(ad, bd)
     parents = tuple(x for x, t in ((a, ta), (b, tb)) if t)
 
     def backward(g):
         out = []
         if ta:
-            out.append(_unbroadcast(g, a.data.shape))
+            out.append(_unbroadcast(grad_a(g, ad, bd), a.data.shape))
         if tb:
-            out.append(_unbroadcast(g, b.data.shape))
+            out.append(_unbroadcast(grad_b(g, ad, bd), b.data.shape))
         return out
 
     return _node(data, parents, backward)
+
+
+def add(a, b):
+    return _binary(a, b, np.add, lambda g, ad, bd: g, lambda g, ad, bd: g)
 
 
 def sub(a, b):
-    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
-    ad = a.data if ta else a
-    bd = b.data if tb else b
-    data = ad - bd
-    parents = tuple(x for x, t in ((a, ta), (b, tb)) if t)
-
-    def backward(g):
-        out = []
-        if ta:
-            out.append(_unbroadcast(g, a.data.shape))
-        if tb:
-            out.append(_unbroadcast(-g, b.data.shape))
-        return out
-
-    return _node(data, parents, backward)
+    return _binary(a, b, np.subtract, lambda g, ad, bd: g,
+                   lambda g, ad, bd: -g)
 
 
 def mul(a, b):
-    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
-    ad = a.data if ta else a
-    bd = b.data if tb else b
-    data = ad * bd
-    parents = tuple(x for x, t in ((a, ta), (b, tb)) if t)
-
-    def backward(g):
-        out = []
-        if ta:
-            out.append(_unbroadcast(g * bd, a.data.shape))
-        if tb:
-            out.append(_unbroadcast(g * ad, b.data.shape))
-        return out
-
-    return _node(data, parents, backward)
+    return _binary(a, b, np.multiply, lambda g, ad, bd: g * bd,
+                   lambda g, ad, bd: g * ad)
 
 
 def div(a, b):
-    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
-    ad = a.data if ta else a
-    bd = b.data if tb else b
-    data = ad / bd
-    parents = tuple(x for x, t in ((a, ta), (b, tb)) if t)
-
-    def backward(g):
-        out = []
-        if ta:
-            out.append(_unbroadcast(g / bd, a.data.shape))
-        if tb:
-            out.append(_unbroadcast(-g * ad / (bd * bd), b.data.shape))
-        return out
-
-    return _node(data, parents, backward)
+    return _binary(a, b, np.divide, lambda g, ad, bd: g / bd,
+                   lambda g, ad, bd: -g * ad / (bd * bd))
 
 
 def power(a, p: float):
@@ -292,26 +260,6 @@ def exp(a):
 
     def backward(g):
         return (g * data,)
-
-    return _node(data, (a,), backward)
-
-
-def log(a):
-    a = as_tensor(a)
-    data = np.log(a.data)
-
-    def backward(g):
-        return (g / a.data,)
-
-    return _node(data, (a,), backward)
-
-
-def sqrt(a):
-    a = as_tensor(a)
-    data = np.sqrt(a.data)
-
-    def backward(g):
-        return (g / (2.0 * data),)
 
     return _node(data, (a,), backward)
 
@@ -534,21 +482,6 @@ def attention_core(q, k, v, n_heads: int):
 # -- softmax family ---------------------------------------------------------
 
 
-def softmax(a, axis: int = -1):
-    """Stabilized softmax; the normalizing sum is accumulated in float64."""
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    denom = e.sum(axis=axis, keepdims=True, dtype=np.float64)
-    data = e * (1.0 / denom).astype(a.data.dtype)
-
-    def backward(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        return (data * (g - dot),)
-
-    return _node(data, (a,), backward)
-
-
 def log_softmax(a, axis: int = -1):
     a = as_tensor(a)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
@@ -587,7 +520,8 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False):
 
 
 def layer_norm(x, gamma=None, beta=None, eps: float = 1e-5):
-    """Normalize the last axis to zero mean / unit variance, optional affine."""
+    """Normalize the last axis to zero mean / unit variance, then scale by
+    `gamma` and shift by `beta` when given: both or neither."""
     x = as_tensor(x)
     # sum / n is the float32 reduction and division np.mean performs, bit for
     # bit, without its Python-level dispatch
@@ -598,46 +532,33 @@ def layer_norm(x, gamma=None, beta=None, eps: float = 1e-5):
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc
     xhat *= inv
-    has_gamma = gamma is not None
-    has_beta = beta is not None
-    if has_gamma:
+    affine = gamma is not None
+    if affine:
         data = xhat * gamma.data
-        if has_beta:
-            data += beta.data
+        data += beta.data
     else:
-        data = xhat + beta.data if has_beta else xhat
-    parents = [x]
-    if has_gamma:
-        parents.append(gamma)
-    if has_beta:
-        parents.append(beta)
+        data = xhat
 
     def backward(g):
         dx = None
         scratch = None
         if _takes_grad(x):
-            dxhat = g * gamma.data if has_gamma else g
+            dxhat = g * gamma.data if affine else g
             m1 = dxhat.sum(axis=-1, keepdims=True) / n
             scratch = dxhat * xhat
             m2 = scratch.sum(axis=-1, keepdims=True) / n
             np.multiply(xhat, m2, out=scratch)
-            dx = np.subtract(dxhat, m1, out=dxhat) if has_gamma \
-                else dxhat - m1
+            dx = np.subtract(dxhat, m1, out=dxhat) if affine else dxhat - m1
             dx -= scratch
             dx *= inv
-        grads = [dx]
-        if has_gamma:
-            if _takes_grad(gamma):
-                scratch = np.multiply(g, xhat, out=scratch)
-                grads.append(_unbroadcast(scratch, gamma.data.shape))
-            else:
-                grads.append(None)
-        if has_beta:
-            grads.append(_unbroadcast(g, beta.data.shape)
-                         if _takes_grad(beta) else None)
-        return grads
+        if not affine:
+            return (dx,)
+        dgamma = _unbroadcast(np.multiply(g, xhat, out=scratch),
+                              gamma.data.shape) if _takes_grad(gamma) else None
+        dbeta = _unbroadcast(g, beta.data.shape) if _takes_grad(beta) else None
+        return (dx, dgamma, dbeta)
 
-    return _node(data, tuple(parents), backward)
+    return _node(data, (x, gamma, beta) if affine else (x,), backward)
 
 
 def embedding(table, ids: np.ndarray):
@@ -668,10 +589,10 @@ def gather_last(x, ids: np.ndarray):
     return _node(data, (x,), backward)
 
 
-def dwconv1d(x, kernel, bias=None):
+def dwconv1d(x, kernel, bias):
     """Depthwise 1-D convolution over axis -2 with same zero padding.
 
-    x: (..., S, C), kernel: (K, C), bias: (C,) or None.
+    x: (..., S, C), kernel: (K, C), bias: (C,).
     """
     x = as_tensor(x)
     K = kernel.data.shape[0]
@@ -685,10 +606,7 @@ def dwconv1d(x, kernel, bias=None):
     for k in range(K):
         np.multiply(xp[..., k:k + S, :], kernel.data[k], out=term)
         data += term
-    has_bias = bias is not None
-    if has_bias:
-        data += bias.data
-    parents = [x, kernel] + ([bias] if has_bias else [])
+    data += bias.data
 
     def backward(g):
         gxp = np.zeros_like(xp)
@@ -699,13 +617,10 @@ def dwconv1d(x, kernel, bias=None):
             gxp[..., k:k + S, :] += term
             np.multiply(xp[..., k:k + S, :], g, out=term)
             gk[k] = term.reshape(-1, term.shape[-1]).sum(axis=0)
-        gx = gxp[..., half:half + S, :]
-        grads = [gx, gk]
-        if has_bias:
-            grads.append(g.reshape(-1, g.shape[-1]).sum(axis=0))
-        return grads
+        return (gxp[..., half:half + S, :], gk,
+                g.reshape(-1, g.shape[-1]).sum(axis=0))
 
-    return _node(data, tuple(parents), backward)
+    return _node(data, (x, kernel, bias), backward)
 
 
 # -- seeded sampling --------------------------------------------------------

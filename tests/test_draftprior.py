@@ -44,11 +44,13 @@ def _tiny_corpus(count=240, seed=0):
 # -- mixing ------------------------------------------------------------------
 
 def test_start_latents_rejects_bad_alpha():
-    ae, prior = _tiny_pair()
+    ae, _ = _tiny_pair()
     examples = _tiny_corpus(count=2)
     for alpha in (0.0, -0.1, 1.01):
+        prior = DP.DraftPrior(DP.DraftPriorConfig(
+            d=8, m=4, n=8, h=16, n_heads=4, alpha=alpha, seed=8))
         with pytest.raises(ValueError, match="alpha"):
-            DP.start_latents(ae, prior, examples, 0.0, 0, alpha=alpha)
+            DP.start_latents(ae, prior, examples, 0.0, 0)
 
 
 def test_mix_alpha_one_is_identity():

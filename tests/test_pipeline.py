@@ -18,6 +18,7 @@ from draftflow import checkpoint as CK
 from draftflow import cli
 from draftflow import config as CFG
 from draftflow import corpus as C
+from draftflow import diagnostics as D
 from draftflow import pipeline as P
 
 TINY_INI = """\
@@ -260,6 +261,24 @@ def test_dissociation_provenance_carries_budget_exhausted(tiny):
     assert prov["success_rate"] == pytest.approx(np.mean(success))
 
 
+def test_dissociation_reports_matched_norm_control(tiny):
+    cfg = tiny["cfg"]
+    P.cmd_eval("dissociation", cfg)
+    payload = json.loads(
+        (tiny["root"] / "full" / "report_dissociation.json").read_text())
+    cols = payload["columns"]
+    assert cols.index("p_target_random") == cols.index("p_target") + 1
+    ae = P._load_ae(cfg)
+    sub = P._val_corpus(cfg)[:6]
+    ids, mask = AE.batchify(sub, ae.config.m, ae.config.n)
+    z_real = ae.encode_all(ids)
+    out = D.dissociation_probe(ae, z_real, ids, mask)
+    want = D.matched_norm_random_probe(ae, z_real, ids, mask, out["z_adv"],
+                                       seed=77)
+    assert [row["p_target_random"] for row in payload["rows"]] == \
+        [float(p) for p in want]
+
+
 def test_interpolation_rows_span_the_segment(tiny):
     payload = json.loads(
         (tiny["root"] / "full" / "report_interpolation.json").read_text())
@@ -372,6 +391,30 @@ def test_cli_integrate_divergence_exit_code(tiny, tmp_path, capsys):
     assert code == cli.EXIT_DIVERGED
     assert "non-finite state" in capsys.readouterr().err
     assert not (run / "flow_fused.ckpt").exists()
+
+
+def test_unknown_stage2_variant_rejected_before_training(tiny, tmp_path,
+                                                         capsys):
+    run = tmp_path / "run"
+    _copy_run(tiny, run, ["ae.ckpt", "draftprior.ckpt"])
+    ini = tmp_path / "nope.ini"
+    ini.write_text(TINY_INI.replace(
+        "eval_steps = 4", "eval_steps = 4\nvariants = raw,nope"))
+    code = cli.main(["train", "flow", "--config", str(ini), "--out", str(run)])
+    assert code == cli.EXIT_CONFIG
+    assert "unknown variant 'nope'" in capsys.readouterr().err
+    assert not (run / "flow_raw.ckpt").exists()
+
+
+def test_unknown_report_variant_is_a_config_error(tiny, tmp_path, capsys):
+    run = tmp_path / "run"
+    _copy_run(tiny, run, ["ae.ckpt", "draftprior.ckpt"])
+    ini = tmp_path / "nope.ini"
+    ini.write_text(TINY_INI + "report_variant = nope\n")
+    code = cli.main(["eval", "interpolation", "--config", str(ini),
+                     "--out", str(run)])
+    assert code == cli.EXIT_CONFIG
+    assert "unknown variant 'nope'" in capsys.readouterr().err
 
 
 def test_external_corpus_eval_split_must_be_held_out(tmp_path, capsys):

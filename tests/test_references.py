@@ -1,8 +1,9 @@
 """Names used from outside the package still resolve.
 
-Nothing runs the demos in the test suite, and the benchmark's tracer wraps
-package functions by name at run time, so a rename or deletion inside
-`draftflow` could break either silently. These checks need no training.
+Nothing runs the demos or the benchmark in the test suite, and the
+benchmark's tracer wraps package functions by name at run time, so a rename
+or deletion inside `draftflow` could break either silently. These checks
+need no training.
 """
 
 import ast
@@ -52,24 +53,40 @@ def test_traced_train_stage2_keeps_variant_fourth():
     assert params.index("variant") == 3, params
 
 
-def _demo_references(source: str):
-    """(alias, attribute, line) for every `alias.attr` on a draftflow module."""
+def _package_references(source: str):
+    """(module, attribute, line) for every name taken from a draftflow
+    module: `alias.attr` on an imported module, and `from draftflow.mod
+    import name`."""
     tree = ast.parse(source)
     aliases = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "draftflow":
-            for name in node.names:
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        for name in node.names:
+            if node.module == "draftflow":
                 aliases[name.asname or name.name] = f"draftflow.{name.name}"
+            elif (node.module or "").startswith("draftflow."):
+                yield node.module, name.name, node.lineno
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in aliases):
             yield aliases[node.value.id], node.attr, node.lineno
 
 
+def _missing_references(path: pathlib.Path) -> list:
+    return [f"{module}.{attr} (line {line})"
+            for module, attr, line in _package_references(path.read_text())
+            if not hasattr(importlib.import_module(module), attr)]
+
+
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_references_exist(demo):
-    source = (ROOT / "demos" / demo).read_text()
-    missing = [f"{module}.{attr} (line {line})"
-               for module, attr, line in _demo_references(source)
-               if not hasattr(importlib.import_module(module), attr)]
+    missing = _missing_references(ROOT / "demos" / demo)
     assert not missing, f"{demo} uses names the package lacks: {missing}"
+
+
+@pytest.mark.parametrize("script", sorted(
+    p.name for p in (ROOT / "perfbench").glob("*.py")))
+def test_benchmark_references_exist(script):
+    missing = _missing_references(ROOT / "perfbench" / script)
+    assert not missing, f"{script} uses names the package lacks: {missing}"

@@ -1,4 +1,5 @@
-"""Substrate checks: op gradients vs central differences, softmax, sampling."""
+"""Substrate checks: op gradients vs central differences, log-softmax,
+sampling."""
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ def test_gradcheck_reports_nonfinite_parameter():
     params = {"bad": _p([1e-8])}
 
     def loss_fn(p):
-        return T.log(p["bad"]).sum()  # perturbing below zero goes non-finite
+        return (p["bad"] ** 0.5).sum()  # perturbing below zero goes non-finite
 
     with pytest.raises(FloatingPointError, match="bad"):
         grad_check(loss_fn, params, eps=1e-3)
@@ -70,8 +71,6 @@ def test_elementwise_op_gradients():
         check_op(lambda xs: (xs[0] / (xs[1] * xs[1] + 1.5)).sum(), [a, b])
         check_op(lambda xs: T.tanh(xs[0]).sum(), [a])
         check_op(lambda xs: T.exp(xs[0] * 0.5).sum(), [a])
-        check_op(lambda xs: T.log(xs[0] * xs[0] + 1.0).sum(), [a])
-        check_op(lambda xs: T.sqrt(xs[0] * xs[0] + 0.5).sum(), [a])
         # probe the cubic on [1,2]: central differences carry an eps^2
         # truncation term that swamps gradients near the flat point at 0
         c = rng.uniform(1.0, 2.0, size=(3, 4)).astype(np.float32)
@@ -114,13 +113,13 @@ def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(105)
     for scale in (1.0, 10.0, 100.0):
         x = Tensor(_rand(rng, 16, 512) * scale)
-        s = T.softmax(x, axis=-1)
+        s = np.exp(T.log_softmax(x, axis=-1).data)
         # positivity holds whenever the logit spread stays inside float32
         # exp range; the huge-scale row only needs the sum contract
         if scale <= 10.0:
-            assert (s.data > 0).all()
-        assert (s.data >= 0).all()
-        sums = s.data.sum(axis=-1, dtype=np.float64)
+            assert (s > 0).all()
+        assert (s >= 0).all()
+        sums = s.sum(axis=-1, dtype=np.float64)
         assert np.abs(sums - 1.0).max() < 1e-6
 
 
@@ -128,7 +127,6 @@ def test_softmax_family_gradients():
     rng = np.random.default_rng(106)
     a = _rand(rng, 3, 7)
     w = _rand(rng, 3, 7)
-    check_op(lambda xs: (T.softmax(xs[0]) * xs[1]).sum(), [a, w])
     check_op(lambda xs: (T.log_softmax(xs[0]) * xs[1]).sum(), [a, w])
     check_op(lambda xs: T.logsumexp(xs[0], axis=-1).sum(), [a])
     check_op(lambda xs: T.logsumexp(xs[0], axis=0, keepdims=True).mean(), [a])
@@ -283,8 +281,8 @@ def test_ops_bit_identical_across_calls():
     rng = np.random.default_rng(111)
     x = _rand(rng, 8, 8)
     y = _rand(rng, 8, 8)
-    first = T.matmul(T.softmax(Tensor(x)), Tensor(y)).data
-    second = T.matmul(T.softmax(Tensor(x)), Tensor(y)).data
+    first = T.matmul(T.log_softmax(Tensor(x)), Tensor(y)).data
+    second = T.matmul(T.log_softmax(Tensor(x)), Tensor(y)).data
     assert np.array_equal(first, second)
 
 
